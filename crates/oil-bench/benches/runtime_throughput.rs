@@ -1,14 +1,10 @@
 //! Runtime throughput: the execution engines head to head.
 //!
-//! Four engines over three workloads, each executed over a fixed virtual
+//! Three engines over three workloads, each executed over a fixed virtual
 //! horizon while the wall clock is measured:
 //!
 //! * **sim** — the discrete-event simulator: token origins only, no kernel
 //!   work, no threads. The scheduling-overhead floor.
-//! * **calendar** — `oil-rt::exec` at 1/2/4 worker threads: real kernels,
-//!   but every firing serialises through the virtual-clock calendar (the
-//!   price of bit-identical traces). Expected to scale *negatively*: more
-//!   threads add handoff cost to a scheduler-bound loop.
 //! * **selftimed** — `oil-rt::selftimed` at 1/2/4 worker threads: real
 //!   kernels, no clock, tasks fire whenever data and space allow with
 //!   repetition-vector batching.
@@ -80,9 +76,8 @@ use oil_compiler::{compile, schedule, CompilerOptions};
 use oil_dsp::{Decimator, FirFilter, Mixer, RationalResampler};
 use oil_lang::registry::{FunctionRegistry, FunctionSignature};
 use oil_rt::{
-    env_metrics, env_trace, execute, execute_selftimed, execute_staticsched, DriftVerdict, Kernel,
-    KernelLibrary, MetricsConfig, MetricsReport, RtConfig, SelfTimedConfig, StaticConfig,
-    TraceReport,
+    env_metrics, env_trace, execute_selftimed, execute_staticsched, DriftVerdict, Kernel,
+    KernelLibrary, MetricsConfig, MetricsReport, SelfTimedConfig, StaticConfig, TraceReport,
 };
 use oil_sim::{build_simulation_from_graph, picos, SimulationConfig};
 use std::fmt::Write as _;
@@ -241,7 +236,7 @@ fn sdr_graph() -> (RtGraph, KernelLibrary) {
 }
 
 /// Eight independent source → filter → sink chains at 4 kHz: wide enough
-/// that firings overlap, with kernels heavy enough that the pool matters.
+/// that firings overlap, with kernels heavy enough that worker threads matter.
 fn wide_graph() -> (RtGraph, KernelLibrary) {
     const CHAINS: usize = 8;
     let mut src = String::new();
@@ -324,56 +319,6 @@ fn bench_workload(
         measured_utilization: Vec::new(),
         drift: "none",
     });
-
-    for threads in THREAD_SWEEP {
-        let run = |trace: bool, horizon: f64| {
-            execute(
-                graph,
-                lib,
-                picos(horizon),
-                &RtConfig {
-                    threads,
-                    warmup_ticks: 64,
-                    record_traces: false,
-                    record_values: false,
-                    trace,
-                    metrics,
-                },
-            )
-        };
-        let report = run(trace, virtual_s);
-        assert!(
-            report.meets_real_time_constraints(),
-            "{workload}: calendar engine missed constraints at {threads} threads"
-        );
-        let label = format!("{workload} calendar@{threads}");
-        let (telemetry_source, park_count, ring_highwater_max, backpressure, seam) =
-            telemetry(&label, report.trace_report.as_ref(), || {
-                run(true, companion_s).trace_report
-            });
-        rows.push(Row {
-            workload,
-            engine_mode: "calendar",
-            engine_actual: "calendar",
-            threads,
-            virtual_s,
-            wall_ms: report.wall.as_secs_f64() * 1e3,
-            tokens: report.tokens,
-            tokens_per_wall_s: report.tokens as f64 / report.wall.as_secs_f64(),
-            host_parallelism: host_parallelism(),
-            fusion: FusionStats::default(),
-            transition_firings: 0,
-            telemetry_source,
-            park_count,
-            ring_highwater_max,
-            backpressure_wait_ns: backpressure,
-            seam_latency_observed_ns: seam,
-            cost_model_hash: None,
-            predicted_utilization: Vec::new(),
-            measured_utilization: measured_utilization(report.metrics.as_ref(), report.wall),
-            drift: drift_tag(report.metrics.as_ref()),
-        });
-    }
 
     let plan = rtgraph::plan(graph);
     for threads in THREAD_SWEEP {

@@ -1,57 +1,43 @@
-//! The deterministic parallel execution engine.
+//! The calendar engine: the single-threaded reference replay.
 //!
-//! The engine executes a lowered [`RtGraph`] on real OS threads while
+//! The engine executes a lowered [`RtGraph`] with real kernel values while
 //! keeping the *observable* behaviour — per-buffer token traces, deadline
-//! misses, overflows — bit-identical to the discrete-event simulator at
-//! every thread count. The trick is the paper's own observation: OIL's
-//! restrictions make temporal behaviour **data-independent** (rates are
-//! static, guarded statements still fire), so scheduling and computation
-//! separate cleanly:
+//! misses, overflows — bit-identical to the discrete-event simulator. The
+//! trick is the paper's own observation: OIL's restrictions make temporal
+//! behaviour **data-independent** (rates are static, guarded statements
+//! still fire), so scheduling and computation separate cleanly:
 //!
-//! * a single **scheduler** replays virtual time: a calendar of
-//!   `(time, kind, id)`-ordered events with the same documented
-//!   tie-breaking rule as `oil_sim::network` (sources deliver, completing
-//!   nodes commit, sinks consume; lower ids first) decides *when* every
-//!   firing starts and completes;
-//! * the **value plane** runs in parallel: each firing's kernel executes on
-//!   the work-stealing pool ([`crate::pool`]) between its start and
-//!   completion events, source generators run ahead on their own threads,
-//!   and sink collectors aggregate on theirs, all plumbed through lock-free
-//!   SPSC rings ([`crate::ring`]);
-//! * the scheduler only ever *waits* for a kernel at the firing's completion
-//!   event, so any number of independent firings overlap in wall-clock time
-//!   while virtual time stays deterministic.
+//! * the engine replays virtual time on a calendar of `(time, kind, id)`-
+//!   ordered events with the same documented tie-breaking rule as
+//!   `oil_sim::network` (sources deliver, completing nodes commit, sinks
+//!   consume; lower ids first), which decides *when* every firing starts
+//!   and completes;
+//! * the values ride along: a firing's kernel runs inline when the firing
+//!   is admitted and its outputs are held until its completion event,
+//!   sources draw one sample per tick and sinks record what they consume.
 //!
 //! Because a node's firings are totally ordered and every buffer push/pop
-//! happens at a scheduler-chosen virtual instant, the value streams and the
+//! happens at a calendar-chosen virtual instant, the value streams and the
 //! token traces are pure functions of the graph — `tests/runtime_differential.rs`
 //! holds the engine to bit-identical agreement with `oil-sim` over hundreds
-//! of generated programs at 1, 2 and N threads.
+//! of generated programs. Parallel execution is the business of the
+//! self-timed ([`crate::selftimed`]) and static-order
+//! ([`crate::staticsched`]) engines; this replay is their reference: its
+//! value streams are the prefix oracle the self-timed engine is held to.
 
-use crate::kernel::{Kernel, KernelLibrary};
-use crate::measure::{BufferValues, ValueTrace};
-use crate::metrics::{MetricsConfig, MetricsHub, MetricsReport, SinkMonitor};
-use crate::pool::WorkStealingPool;
-use crate::ring::{self, Consumer, Producer};
-use crate::trace::{EventKind, RingStat, TraceReport, WorkerTracer};
-use oil_compiler::rtgraph::{RtGraph, RtNodeId, RtSinkId, RtSourceId};
+use crate::kernel::{Kernel, KernelLibrary, SourceKernel};
+use crate::measure::{BufferValues, SinkStream, ValueTrace, SINK_STREAM_CAP};
+use oil_compiler::rtgraph::{RtBufferId, RtGraph, RtNodeId, RtSinkId, RtSourceId};
 use oil_dataflow::index::{Idx, IndexVec};
 use oil_dataflow::taskgraph::ports_satisfied;
 use oil_sim::time::picos_nearest;
 use oil_sim::trace::{BufferTrace, ExecutionTrace};
 use oil_sim::Picos;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Configuration of a runtime execution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RtConfig {
-    /// Worker threads for kernel execution; `0` uses the machine's available
-    /// parallelism. The `OIL_RT_THREADS` environment variable (see
-    /// [`env_threads`]) conventionally overrides this in test harnesses.
-    pub threads: usize,
     /// Sink ticks ignored before misses are counted (pipeline warm-up), as
     /// in [`oil_sim::SimulationConfig`].
     pub warmup_ticks: u64,
@@ -62,76 +48,21 @@ pub struct RtConfig {
     /// On by default (the differential oracles need them); benchmarks turn
     /// this off — a `Vec` push per pushed sample taxes every hot path.
     pub record_values: bool,
-    /// Record scheduler trace events and ring telemetry ([`crate::trace`]).
-    /// Off costs a single predictable branch per instrumentation point;
-    /// recording writes only scheduler-local memory, so traces and value
-    /// streams are bit-identical either way.
-    pub trace: bool,
-    /// Run with the always-on metrics registry ([`crate::metrics`]): the
-    /// scheduler's event-step histogram, windowed sink throughput and the
-    /// CTA drift detector. Same overhead discipline as `trace`.
-    pub metrics: Option<MetricsConfig>,
 }
 
 impl Default for RtConfig {
     fn default() -> Self {
         RtConfig {
-            threads: 0,
             warmup_ticks: 4,
             record_traces: true,
             record_values: true,
-            trace: false,
-            metrics: None,
         }
     }
 }
 
-/// The `OIL_RT_THREADS` environment override, if set.
-///
-/// A malformed value is a loud panic, not a silent fall-through to the
-/// default: an override that does not apply is worse than no override
-/// (matching the `OIL_RT_CONFORMANCE` / `OIL_RT_FUSION` validation
-/// discipline). Parsing lives in [`parse_threads`] so the rejection path
-/// is testable without mutating the process environment.
-pub fn env_threads() -> Option<usize> {
-    std::env::var("OIL_RT_THREADS")
-        .ok()
-        .map(|v| parse_threads(&v))
-}
-
-/// Parse an `OIL_RT_THREADS` value: a base-10 thread count (`0` means
-/// "use the machine's available parallelism", as in [`RtConfig::threads`]).
-/// Anything else panics — see [`env_threads`].
-pub fn parse_threads(raw: &str) -> usize {
-    raw.trim()
-        .parse()
-        .unwrap_or_else(|_| panic!("OIL_RT_THREADS must be a thread count (0 = auto), got `{raw}`"))
-}
-
-/// Sample stream collected at one sink.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SinkStream {
-    /// Sink name.
-    pub name: String,
-    /// Samples consumed.
-    pub consumed: u64,
-    /// Deadline misses (after warm-up).
-    pub misses: u64,
-    /// Worst observed end-to-end latency, in seconds.
-    pub max_latency: f64,
-    /// The consumed sample values, in order (capped at
-    /// [`SINK_STREAM_CAP`]; `consumed` keeps the true count).
-    pub values: Vec<f64>,
-}
-
-/// Upper bound on stored sink samples (counters keep counting beyond it).
-pub const SINK_STREAM_CAP: usize = 1 << 16;
-
 /// Everything one runtime execution observed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RtReport {
-    /// Worker threads used.
-    pub threads: usize,
     /// The observable trace (buffer pushes only when
     /// [`RtConfig::record_traces`]; source/sink counters always).
     pub trace: ExecutionTrace,
@@ -151,20 +82,8 @@ pub struct RtReport {
     pub buffers: Vec<(String, usize, usize)>,
     /// Per sink: the real output sample streams.
     pub sinks: Vec<SinkStream>,
-    /// Work-stealing pool steals (observability).
-    pub steals: u64,
-    /// Wall-clock execution time.
-    pub wall: Duration,
     /// Total tokens pushed across all buffers.
     pub tokens: u64,
-    /// Scheduler event track and ring telemetry (`Some` iff
-    /// [`RtConfig::trace`]).
-    pub trace_report: Option<TraceReport>,
-    /// Scheduler metric cell, per-sink windows and the drift verdict
-    /// (`Some` iff [`RtConfig::metrics`]). Parks/backpressure stay 0 here:
-    /// the calendar engine's single scheduler thread never blocks on a
-    /// graph ring.
-    pub metrics: Option<MetricsReport>,
 }
 
 impl RtReport {
@@ -182,73 +101,20 @@ impl RtReport {
     }
 }
 
-/// A token travelling through a buffer ring: the origin timestamp of the
-/// source sample it derives from (the simulator's trace currency) plus the
-/// actual sample value (the runtime's extra).
+/// A token travelling through a buffer: the origin timestamp of the source
+/// sample it derives from (the simulator's trace currency) plus the actual
+/// sample value (the runtime's extra).
 #[derive(Debug, Clone, Copy)]
 struct Token {
     origin: Picos,
     value: f64,
 }
 
-/// A sample delivered to a sink collector.
-struct SinkSample {
+/// A firing between its admission and its completion event: the oldest
+/// origin among its inputs and the outputs its kernel already computed.
+struct Firing {
     origin: Picos,
-    at: Picos,
-    value: f64,
-}
-
-/// What a sink collector thread accumulated.
-struct SinkCollect {
-    consumed: u64,
-    max_latency_ps: Picos,
-    values: Vec<f64>,
-}
-
-/// What a firing job delivered: the outputs and the kernel coming home, or
-/// the panic message of a kernel that unwound (the job catches the panic so
-/// the scheduler fails loudly instead of parking forever on a slot the dead
-/// worker can no longer fill).
-type FiringResult = Result<(Vec<f64>, Kernel), String>;
-
-struct FiringSlot {
-    /// Fast-path flag: set with release ordering after `result` is filled,
-    /// so the scheduler can spin briefly instead of paying a condvar
-    /// round-trip per firing (kernel firings are often only microseconds).
-    ready: AtomicBool,
-    result: Mutex<Option<FiringResult>>,
-    done: Condvar,
-}
-
-impl FiringSlot {
-    fn new() -> Arc<Self> {
-        Arc::new(FiringSlot {
-            ready: AtomicBool::new(false),
-            result: Mutex::new(None),
-            done: Condvar::new(),
-        })
-    }
-
-    fn fill(&self, result: FiringResult) {
-        *self.result.lock().expect("firing slot poisoned") = Some(result);
-        self.ready.store(true, Ordering::Release);
-        self.done.notify_one();
-    }
-
-    fn wait(&self) -> FiringResult {
-        // Fast path: the kernel often finished long before its completion
-        // event comes up, so a single flag check skips the lock-and-park.
-        if !self.ready.load(Ordering::Acquire) {
-            std::thread::yield_now();
-        }
-        let mut guard = self.result.lock().expect("firing slot poisoned");
-        loop {
-            if let Some(result) = guard.take() {
-                return result;
-            }
-            guard = self.done.wait(guard).expect("firing slot poisoned");
-        }
-    }
+    outputs: Vec<f64>,
 }
 
 /// Render a caught panic payload for error messages.
@@ -305,44 +171,35 @@ impl Calendar {
 ///
 /// # Panics
 /// Panics if a response time or period cannot be placed on the picosecond
-/// clock (impossible for compiler-lowered graphs).
+/// clock (impossible for compiler-lowered graphs), and with the node's name
+/// if a kernel panics during a firing.
 pub fn execute(
     graph: &RtGraph,
     lib: &KernelLibrary,
     duration: Picos,
     config: &RtConfig,
 ) -> RtReport {
-    let started = Instant::now();
-    let threads = if config.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        config.threads
-    };
-    let mut pool = WorkStealingPool::new(threads);
-
-    // --- Buffers: one SPSC ring each, pre-loaded with the initial tokens.
+    // --- Buffers: one FIFO queue each, pre-loaded with the initial tokens.
     //
     // Admission and source-tick space checks use the *declared* (CTA-sized)
     // capacity, exactly like the simulator. A completing firing, however,
     // commits its writes unconditionally — space was checked when it was
     // admitted, and other producers may have pushed since — so the declared
     // capacity can be transiently exceeded by at most one write burst per
-    // producing node. The ring is physically sized for that worst case so
-    // the lock-free push can never fail.
+    // producing node. Every push asserts that physical bound.
     let n_buffers = graph.buffers.len();
     let declared: Vec<usize> = graph
         .buffers
         .iter()
         .map(|b| b.capacity.max(b.initial_tokens).max(1))
         .collect();
-    let mut inflight_headroom: Vec<usize> = vec![0; n_buffers];
+    let mut physical = declared.clone();
     for n in &graph.nodes {
         for &(b, c) in &n.writes {
-            inflight_headroom[b.index()] += c;
+            physical[b.index()] += c;
         }
     }
-    let mut producers: Vec<Producer<Token>> = Vec::with_capacity(n_buffers);
-    let mut consumers: Vec<Consumer<Token>> = Vec::with_capacity(n_buffers);
+    let mut queues: Vec<VecDeque<Token>> = vec![VecDeque::new(); n_buffers];
     let mut pushes: Vec<Vec<Picos>> = vec![Vec::new(); n_buffers];
     let mut values: Vec<BufferValues> = graph
         .buffers
@@ -354,115 +211,41 @@ pub fn execute(
         .collect();
     let mut max_occupancy: Vec<usize> = vec![0; n_buffers];
     let mut tokens_pushed: u64 = 0;
-    for (i, b) in graph.buffers.iter().enumerate() {
-        let (mut tx, rx) = ring::spsc::<Token>(declared[i] + inflight_headroom[i]);
-        for _ in 0..b.initial_tokens {
-            tx.push(Token {
-                origin: 0,
-                value: 0.0,
-            })
-            .expect("initial tokens fit the capacity");
+
+    // Push a token and maintain occupancy/trace accounting.
+    macro_rules! push_token {
+        ($buffer:expr, $token:expr) => {{
+            let b: RtBufferId = $buffer;
+            let token: Token = $token;
+            let queue = &mut queues[b.index()];
+            assert!(
+                queue.len() < physical[b.index()],
+                "buffer `{}` overran its physical capacity {}",
+                graph.buffers[b].name,
+                physical[b.index()]
+            );
+            queue.push_back(token);
+            max_occupancy[b.index()] = max_occupancy[b.index()].max(queue.len());
             if config.record_traces {
-                pushes[i].push(0);
+                pushes[b.index()].push(token.origin);
             }
             if config.record_values {
-                values[i].record(0.0);
+                values[b.index()].record(token.value);
             }
             tokens_pushed += 1;
+        }};
+    }
+
+    for (b, buffer) in graph.buffers.iter_enumerated() {
+        for _ in 0..buffer.initial_tokens {
+            push_token!(
+                b,
+                Token {
+                    origin: 0,
+                    value: 0.0
+                }
+            );
         }
-        max_occupancy[i] = b.initial_tokens;
-        producers.push(tx);
-        consumers.push(rx);
-    }
-
-    // --- Sources: a generator thread each, feeding an SPSC sample ring.
-    // Each generator lowers its `alive` flag on exit (normal or panicking)
-    // so a scheduler waiting for a sample fails loudly instead of spinning
-    // on a ring no one will ever fill again.
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut source_feeds: Vec<Consumer<f64>> = Vec::new();
-    let mut source_alive: Vec<Arc<AtomicBool>> = Vec::new();
-    let mut source_threads = Vec::new();
-    for s in &graph.sources {
-        let (tx, rx) = ring::spsc::<f64>(1024);
-        let mut kernel = lib.instantiate_source(&s.function);
-        let stop = Arc::clone(&stop);
-        let alive = Arc::new(AtomicBool::new(true));
-        source_alive.push(Arc::clone(&alive));
-        source_threads.push(
-            std::thread::Builder::new()
-                .name(format!("oil-rt-source-{}", s.name))
-                .spawn(move || {
-                    // Lower the flag even if the generator kernel unwinds.
-                    struct AliveGuard(Arc<AtomicBool>);
-                    impl Drop for AliveGuard {
-                        fn drop(&mut self) {
-                            self.0.store(false, Ordering::SeqCst);
-                        }
-                    }
-                    let _guard = AliveGuard(alive);
-                    let mut tx = tx;
-                    let mut pending: Option<f64> = None;
-                    while !stop.load(Ordering::Relaxed) {
-                        let v = pending.take().unwrap_or_else(|| kernel.next_sample());
-                        // Blocking backpressure: spin briefly, then park
-                        // until the scheduler drains a sample (or shutdown).
-                        if let Err(back) = tx.push_wait(v, || stop.load(Ordering::Relaxed)) {
-                            pending = Some(back);
-                        }
-                    }
-                })
-                .expect("spawning a source generator thread"),
-        );
-        source_feeds.push(rx);
-    }
-
-    // --- Sinks: a collector thread each, draining an SPSC sample ring.
-    let mut sink_feeds: Vec<Producer<SinkSample>> = Vec::new();
-    let mut sink_threads: Vec<std::thread::JoinHandle<SinkCollect>> = Vec::new();
-    for s in &graph.sinks {
-        let (tx, mut rx) = ring::spsc::<SinkSample>(1024);
-        let stop = Arc::clone(&stop);
-        sink_threads.push(
-            std::thread::Builder::new()
-                .name(format!("oil-rt-sink-{}", s.name))
-                .spawn(move || {
-                    let mut collect = SinkCollect {
-                        consumed: 0,
-                        max_latency_ps: 0,
-                        values: Vec::new(),
-                    };
-                    loop {
-                        match rx.pop_wait(|| stop.load(Ordering::Relaxed)) {
-                            Some(sample) => {
-                                collect.consumed += 1;
-                                collect.max_latency_ps = collect
-                                    .max_latency_ps
-                                    .max(sample.at.saturating_sub(sample.origin));
-                                if collect.values.len() < SINK_STREAM_CAP {
-                                    collect.values.push(sample.value);
-                                }
-                            }
-                            None => {
-                                // Aborted: the scheduler stopped. Drain what
-                                // is still buffered, then return.
-                                while let Some(sample) = rx.pop() {
-                                    collect.consumed += 1;
-                                    collect.max_latency_ps = collect
-                                        .max_latency_ps
-                                        .max(sample.at.saturating_sub(sample.origin));
-                                    if collect.values.len() < SINK_STREAM_CAP {
-                                        collect.values.push(sample.value);
-                                    }
-                                }
-                                return collect;
-                            }
-                        }
-                    }
-                })
-                .expect("spawning a sink collector thread"),
-        );
-        sink_feeds.push(tx);
     }
 
     // --- Quantise the rational times onto the picosecond clock, with the
@@ -488,7 +271,7 @@ pub fn execute(
         .collect::<Vec<_>>()
         .into();
 
-    // --- Scheduler state.
+    // --- Replay state.
     let mut calendar = Calendar::default();
     for i in graph.sources.indices() {
         calendar.schedule(source_period[i], RtEvent::SourceTick(i));
@@ -497,63 +280,36 @@ pub fn execute(
         calendar.schedule(sink_period[i], RtEvent::SinkTick(i));
     }
     let n_nodes = graph.nodes.len();
-    let mut kernels: IndexVec<RtNodeId, Option<Kernel>> = graph
+    let n_sinks = graph.sinks.len();
+    let mut kernels: IndexVec<RtNodeId, Kernel> = graph
         .nodes
         .iter()
-        .map(|n| Some(lib.instantiate(&n.function)))
+        .map(|n| lib.instantiate(&n.function))
         .collect::<Vec<_>>()
         .into();
-    let mut in_flight: IndexVec<RtNodeId, Option<Arc<FiringSlot>>> = vec![None; n_nodes].into();
-    let mut firing_origin: IndexVec<RtNodeId, Picos> = vec![0; n_nodes].into();
+    let mut generators: IndexVec<RtSourceId, SourceKernel> = graph
+        .sources
+        .iter()
+        .map(|s| lib.instantiate_source(&s.function))
+        .collect::<Vec<_>>()
+        .into();
+    let mut in_flight: IndexVec<RtNodeId, Option<Firing>> =
+        (0..n_nodes).map(|_| None).collect::<Vec<_>>().into();
     let mut firings: IndexVec<RtNodeId, u64> = vec![0u64; n_nodes].into();
     let mut produced: IndexVec<RtSourceId, u64> = vec![0u64; graph.sources.len()].into();
     let mut overflows: IndexVec<RtSourceId, u64> = vec![0u64; graph.sources.len()].into();
-    let mut consumed: IndexVec<RtSinkId, u64> = vec![0u64; graph.sinks.len()].into();
-    let mut misses: IndexVec<RtSinkId, u64> = vec![0u64; graph.sinks.len()].into();
-    let mut ticks: IndexVec<RtSinkId, u64> = vec![0u64; graph.sinks.len()].into();
+    let mut consumed: IndexVec<RtSinkId, u64> = vec![0u64; n_sinks].into();
+    let mut misses: IndexVec<RtSinkId, u64> = vec![0u64; n_sinks].into();
+    let mut ticks: IndexVec<RtSinkId, u64> = vec![0u64; n_sinks].into();
+    let mut max_latency_ps: IndexVec<RtSinkId, Picos> = vec![0; n_sinks].into();
+    let mut sink_values: IndexVec<RtSinkId, Vec<f64>> = vec![Vec::new(); n_sinks].into();
     let mut now: Picos = 0;
-    // Single-track tracing: the scheduler thread makes every decision, so
-    // one tracer covers the engine. Kernel computation overlaps on the pool
-    // but is observed from here (a firing's span ends at its completion
-    // event). Firing args index nodes, then sources, then sinks.
-    let mut tracer = config.trace.then(|| WorkerTracer::new(started, n_buffers));
-    let (n_nodes_total, n_sources_total) = (graph.nodes.len(), graph.sources.len());
-    // One metric cell: the scheduler thread makes every timed decision, so
-    // the engine records into a single-worker hub (kernel computation
-    // overlaps on the pool but is observed from here, like the tracer).
-    let hub: Option<Arc<MetricsHub>> = config.metrics.map(|m| MetricsHub::new("calendar", 1, m));
-    let mut sink_monitors: Vec<Option<SinkMonitor>> = graph
-        .sinks
-        .iter()
-        .map(|s| {
-            hub.as_ref()
-                .map(|h| h.sink_monitor(s.name.clone(), s.period.recip().to_f64()))
-        })
-        .collect();
-
-    // Push a token and maintain occupancy/trace accounting.
-    macro_rules! push_token {
-        ($buffer:expr, $token:expr) => {{
-            let b: usize = $buffer;
-            let token: Token = $token;
-            producers[b]
-                .push(token)
-                .expect("space was checked before the firing was admitted");
-            max_occupancy[b] = max_occupancy[b].max(producers[b].len());
-            if config.record_traces {
-                pushes[b].push(token.origin);
-            }
-            if config.record_values {
-                values[b].record(token.value);
-            }
-            tokens_pushed += 1;
-        }};
-    }
 
     // Start every node that can fire at `now` (the simulator's data-driven
     // admission rule: enough values on every read, enough space on every
     // write, node not already firing; nodes scanned in id order to
-    // fixpoint).
+    // fixpoint). The kernel runs right away; its outputs wait for the
+    // firing's completion event.
     macro_rules! admit_ready_firings {
         () => {
             loop {
@@ -563,9 +319,9 @@ pub fn execute(
                         continue;
                     }
                     let node = &graph.nodes[ni];
-                    let inputs_ready = ports_satisfied(&node.reads, |b| consumers[b.index()].len());
+                    let inputs_ready = ports_satisfied(&node.reads, |b| queues[b.index()].len());
                     let outputs_ready = ports_satisfied(&node.writes, |b| {
-                        declared[b.index()].saturating_sub(producers[b.index()].len())
+                        declared[b.index()].saturating_sub(queues[b.index()].len())
                     });
                     if !(inputs_ready && outputs_ready) {
                         continue;
@@ -575,26 +331,24 @@ pub fn execute(
                     let mut origin = now;
                     let mut inputs = Vec::new();
                     for &(b, c) in &node.reads {
-                        for _ in 0..c {
-                            let token = consumers[b.index()]
-                                .pop()
-                                .expect("occupancy was checked above");
+                        for token in queues[b.index()].drain(..c) {
                             origin = origin.min(token.origin);
                             inputs.push(token.value);
                         }
                     }
-                    firing_origin[ni] = origin;
                     let out_len = node.writes.iter().map(|&(_, c)| c).max().unwrap_or(0);
-                    let mut kernel = kernels[ni].take().expect("kernel is home when idle");
-                    let slot = FiringSlot::new();
-                    in_flight[ni] = Some(Arc::clone(&slot));
-                    pool.submit(Box::new(move || {
-                        let fired = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            let outputs = kernel.fire(&inputs, out_len);
-                            (outputs, kernel)
-                        }));
-                        slot.fill(fired.map_err(panic_message));
-                    }));
+                    let kernel = &mut kernels[ni];
+                    let outputs = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        kernel.fire(&inputs, out_len)
+                    }))
+                    .unwrap_or_else(|payload| {
+                        panic!(
+                            "kernel of node `{}` panicked during a firing: {}",
+                            node.name,
+                            panic_message(payload)
+                        )
+                    });
+                    in_flight[ni] = Some(Firing { origin, outputs });
                     calendar.schedule(now + response_ps[ni], RtEvent::NodeComplete(ni));
                     progressed = true;
                 }
@@ -612,32 +366,12 @@ pub fn execute(
             break;
         }
         now = time;
-        // One clock per timed interval: the tracer's when tracing (so span
-        // and histogram agree), else the hub's.
-        let t0 = match (tracer.as_ref(), hub.as_ref()) {
-            (Some(t), _) => Some(t.now_ns()),
-            (None, Some(h)) => Some(h.now_ns()),
-            (None, None) => None,
-        };
         match event {
             RtEvent::SourceTick(i) => {
-                // Take the next sample from the generator thread (it runs
-                // ahead; an empty ring just means it has not caught up
-                // yet). A dead generator — its kernel panicked — can never
-                // refill the ring, so fail loudly instead of spinning.
-                let alive = &source_alive[i.index()];
-                let stats = tracer.as_mut().map(|t| &mut t.wait);
-                let value = source_feeds[i.index()]
-                    .pop_wait_observed(|| !alive.load(Ordering::SeqCst), stats)
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "source kernel of `{}` panicked; its generator thread is gone",
-                            graph.sources[i].name
-                        )
-                    });
+                let value = generators[i].next_sample();
                 for &b in &graph.sources[i].outputs {
-                    if declared[b.index()] > producers[b.index()].len() {
-                        push_token!(b.index(), Token { origin: now, value });
+                    if declared[b.index()] > queues[b.index()].len() {
+                        push_token!(b, Token { origin: now, value });
                         produced[i] += 1;
                     } else {
                         overflows[i] += 1;
@@ -649,48 +383,26 @@ pub fn execute(
                 let tick_number = ticks[i];
                 ticks[i] += 1;
                 let b = graph.sinks[i].input.index();
-                if let Some(token) = consumers[b].pop() {
+                if let Some(token) = queues[b].pop_front() {
                     consumed[i] += 1;
-                    if let Some(m) = sink_monitors[i.index()].as_mut() {
-                        m.record();
+                    max_latency_ps[i] = max_latency_ps[i].max(now.saturating_sub(token.origin));
+                    if sink_values[i].len() < SINK_STREAM_CAP {
+                        sink_values[i].push(token.value);
                     }
-                    if let Some(h) = hub.as_ref() {
-                        h.cell(0).record_sink(1);
-                    }
-                    let sample = SinkSample {
-                        origin: token.origin,
-                        at: now,
-                        value: token.value,
-                    };
-                    // The collector drains promptly; park briefly if it lags
-                    // (it cannot abort: the collector thread outlives the
-                    // scheduler loop by construction).
-                    let stats = tracer.as_mut().map(|t| &mut t.wait);
-                    sink_feeds[i.index()]
-                        .push_wait_observed(sample, || false, stats)
-                        .unwrap_or_else(|_| unreachable!("push_wait without abort cannot fail"));
                 } else if tick_number >= config.warmup_ticks {
                     misses[i] += 1;
                 }
                 calendar.schedule(now + sink_period[i], RtEvent::SinkTick(i));
             }
             RtEvent::NodeComplete(ni) => {
-                let slot = in_flight[ni].take().expect("completion of an idle node");
-                let (outputs, kernel) = slot.wait().unwrap_or_else(|message| {
-                    panic!(
-                        "kernel of node `{}` panicked during a firing: {message}",
-                        graph.nodes[ni].name
-                    )
-                });
-                kernels[ni] = Some(kernel);
-                let origin = firing_origin[ni];
+                let firing = in_flight[ni].take().expect("completion of an idle node");
                 for &(b, c) in &graph.nodes[ni].writes {
                     for k in 0..c {
                         push_token!(
-                            b.index(),
+                            b,
                             Token {
-                                origin,
-                                value: outputs.get(k).copied().unwrap_or(0.0)
+                                origin: firing.origin,
+                                value: firing.outputs.get(k).copied().unwrap_or(0.0)
                             }
                         );
                     }
@@ -698,74 +410,10 @@ pub fn execute(
                 firings[ni] += 1;
             }
         }
-        if let Some(start) = t0 {
-            if let Some(h) = hub.as_ref() {
-                let now_ns = match tracer.as_ref() {
-                    Some(t) => t.now_ns(),
-                    None => h.now_ns(),
-                };
-                h.cell(0).record_firing(now_ns.saturating_sub(start));
-            }
-            if let Some(t) = tracer.as_mut() {
-                let arg = match event {
-                    RtEvent::NodeComplete(ni) => ni.index(),
-                    RtEvent::SourceTick(i) => n_nodes_total + i.index(),
-                    RtEvent::SinkTick(i) => n_nodes_total + n_sources_total + i.index(),
-                };
-                t.span(EventKind::Firing, arg as u32, start);
-            }
-        }
         admit_ready_firings!();
     }
 
-    // --- Tear down the value plane and assemble the report.
-    stop.store(true, Ordering::SeqCst);
-    drop(source_feeds); // unblock generators waiting on a full ring
-    for t in source_threads {
-        let _ = t.join();
-    }
-    drop(sink_feeds);
-    let collects: Vec<SinkCollect> = sink_threads
-        .into_iter()
-        .map(|t| t.join().expect("sink collector panicked"))
-        .collect();
-    let steals = pool.steals();
-    drop(pool);
-    for m in sink_monitors.drain(..).flatten() {
-        m.finish();
-    }
-
-    let trace_report = tracer.map(|t| {
-        let mut tr = TraceReport::new("calendar", threads);
-        let labels: Vec<String> = graph
-            .nodes
-            .iter()
-            .map(|n| n.name.clone())
-            .chain(graph.sources.iter().map(|s| s.name.clone()))
-            .chain(graph.sinks.iter().map(|s| s.name.clone()))
-            .collect();
-        tr.push_track("scheduler", labels, t);
-        tr.counters.steals = steals;
-        tr.rings = graph
-            .buffers
-            .iter()
-            .enumerate()
-            .map(|(i, b)| RingStat {
-                name: b.name.clone(),
-                // The physical bound this engine proves: declared (CTA)
-                // capacity plus the in-flight commit headroom — the same
-                // semantics as [`RtReport::buffers`].
-                capacity: declared[i] + inflight_headroom[i],
-                highwater: max_occupancy[i],
-                // Every graph ring is pushed and popped by the scheduler
-                // thread itself; only the source/sink conduits cross
-                // threads, and they are not graph buffers.
-                crossing: false,
-            })
-            .collect();
-        tr
-    });
-
+    // --- Assemble the report.
     let trace = ExecutionTrace {
         buffers: if config.record_traces {
             graph
@@ -794,20 +442,16 @@ pub fn execute(
     let sinks = graph
         .sinks
         .iter_enumerated()
-        .zip(collects)
-        .map(|((i, s), c)| {
-            debug_assert_eq!(c.consumed, consumed[i], "collector saw every sample");
-            SinkStream {
-                name: s.name.clone(),
-                consumed: consumed[i],
-                misses: misses[i],
-                max_latency: c.max_latency_ps as f64 / 1e12,
-                values: c.values,
-            }
+        .zip(sink_values.into_raw())
+        .map(|((i, s), values)| SinkStream {
+            name: s.name.clone(),
+            consumed: consumed[i],
+            misses: misses[i],
+            max_latency: max_latency_ps[i] as f64 / 1e12,
+            values,
         })
         .collect();
     RtReport {
-        threads,
         trace,
         values: ValueTrace {
             buffers: if config.record_values {
@@ -824,20 +468,11 @@ pub fn execute(
         buffers: graph
             .buffers
             .iter()
-            .enumerate()
-            .map(|(i, b)| {
-                (
-                    b.name.clone(),
-                    declared[i] + inflight_headroom[i],
-                    max_occupancy[i],
-                )
-            })
+            .zip(physical)
+            .zip(max_occupancy)
+            .map(|((b, physical), occupancy)| (b.name.clone(), physical, occupancy))
             .collect(),
         sinks,
-        steals,
-        wall: started.elapsed(),
         tokens: tokens_pushed,
-        trace_report,
-        metrics: hub.as_ref().map(|h| h.snapshot()),
     }
 }

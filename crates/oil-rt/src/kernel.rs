@@ -8,10 +8,9 @@
 //! functions get a deterministic synthetic kernel, so every program —
 //! including the randomly generated ones — executes with real values.
 //!
-//! Kernel state (FIR delay lines, oscillator phases, …) is per node and
-//! travels with the firing job through the work-stealing pool; because a
-//! node's firings are strictly ordered by the virtual clock, the value
-//! streams are identical at every thread count.
+//! Kernel state (FIR delay lines, oscillator phases, …) is per node; because
+//! a node's firings are strictly ordered, its outputs depend only on its
+//! input streams, never on the thread that ran it.
 
 use oil_dsp::{CompositeSignal, Decimator, FirFilter, Mixer, RationalResampler, ToneGenerator};
 use std::collections::BTreeMap;

@@ -1,27 +1,27 @@
-//! `oil-rt` — the work-stealing multi-threaded execution runtime.
+//! `oil-rt` — the multi-threaded execution runtime.
 //!
 //! The paper's thesis is that OIL's restrictions make every program
 //! *automatically parallelizable* while staying temporally analysable. The
 //! discrete-event simulator (`oil-sim`) validates the analysis; this crate
 //! validates the **parallelization**: it executes a compiled program's task
-//! graph on real OS threads — actual `oil-dsp` kernels computing actual
-//! sample streams — and is held, by `tests/runtime_differential.rs`, to
-//! produce **bit-identical** per-buffer token traces, deadline-miss counts
-//! and overflow counts as the simulator at every thread count.
+//! graph with actual `oil-dsp` kernels computing actual sample streams —
+//! once as a single-threaded reference replay held, by
+//! `tests/runtime_differential.rs`, to **bit-identical** per-buffer token
+//! traces, deadline-miss counts and overflow counts against the simulator,
+//! and on real OS threads by two parallel engines whose value streams
+//! extend that reference's.
 //!
 //! Architecture (see the module docs for detail):
 //!
 //! * [`ring`] — lock-free bounded SPSC ring buffers with bounded-spin →
-//!   yield → park/unpark blocking wait paths; one per runtime-graph buffer
-//!   (capacity from CTA buffer sizing), plus the source-generator and
-//!   sink-collector conduits;
-//! * [`pool`] — the work-stealing thread pool executing kernel firings;
+//!   yield → park/unpark blocking wait paths; one per parallel-engine
+//!   buffer (capacity from CTA buffer sizing);
 //! * [`kernel`] — DSP-backed and synthetic kernels, mapped from coordinated
 //!   function names by a [`KernelLibrary`];
-//! * [`exec`] — the deterministic **calendar engine**: virtual time
-//!   replayed on a `(time, kind, id)`-ordered calendar with the same
-//!   documented tie-breaking rule as the simulator, kernel computation
-//!   overlapped on the pool between a firing's start and completion events;
+//! * [`exec`] — the **calendar engine**, the single-threaded reference
+//!   replay: virtual time replayed on a `(time, kind, id)`-ordered calendar
+//!   with the same documented tie-breaking rule as the simulator, each
+//!   kernel run inline when its firing is admitted;
 //! * [`selftimed`] — the **free-running engine**: no clock, tasks fire as
 //!   soon as tokens and space allow, batched by the repetition-vector plan
 //!   (`oil_compiler::rtgraph::plan`), verified against the calendar engine
@@ -31,16 +31,18 @@
 //!   time (`oil_compiler::schedule`), with zero readiness scanning and
 //!   synchronisation only on cross-worker buffers
 //!   (`tests/staticsched_differential.rs`);
-//! * [`measure`] — per-buffer value-stream traces and wall-clock sink
-//!   throughput vs the CTA-predicted rates (rate conformance);
-//! * [`trace`] — low-overhead per-worker event tracing: firing/seam spans,
-//!   park/backpressure counters and ring high-water marks, exported as a
-//!   stable JSON summary or a Perfetto-loadable Chrome trace. Off by
-//!   default; enabling it never changes value streams;
-//! * [`metrics`] — always-on metrics registry: lock-free per-worker
-//!   counter/histogram cells, windowed sink throughput and a live CTA
-//!   drift detector ([`metrics::DriftVerdict`]). Off by default with the
-//!   same one-branch discipline as [`trace`];
+//! * [`measure`] — per-buffer value-stream traces, sink sample streams and
+//!   wall-clock sink throughput vs the CTA-predicted rates (rate
+//!   conformance);
+//! * [`trace`] — low-overhead per-worker event tracing for the parallel
+//!   engines: firing/seam spans, park/backpressure counters and ring
+//!   high-water marks, exported as a stable JSON summary or a
+//!   Perfetto-loadable Chrome trace. Off by default; enabling it never
+//!   changes value streams;
+//! * [`metrics`] — always-on metrics registry for the parallel engines:
+//!   lock-free per-worker counter/histogram cells, windowed sink
+//!   throughput and a live CTA drift detector ([`metrics::DriftVerdict`]).
+//!   Off by default with the same one-branch discipline as [`trace`];
 //! * [`profile`] — kernel cost calibration: measures ns/firing per
 //!   coordinated function (trimmed-median estimator) into an
 //!   `oil_compiler::costmodel::KernelCostModel` artifact that
@@ -54,23 +56,22 @@ pub mod exec;
 pub mod kernel;
 pub mod measure;
 pub mod metrics;
-pub mod pool;
 pub mod profile;
 pub mod ring;
 pub mod selftimed;
 pub mod staticsched;
 pub mod trace;
 
-pub use exec::{env_threads, execute, parse_threads, RtConfig, RtReport, SinkStream};
+pub use exec::{execute, RtConfig, RtReport};
 pub use kernel::{Kernel, KernelLibrary, SourceKernel};
 pub use measure::{
-    ConformanceVerdict, RateConformance, SinkThroughput, ThroughputMeter, ValueTrace,
+    ConformanceVerdict, RateConformance, SinkStream, SinkThroughput, ThroughputMeter, ValueTrace,
 };
 pub use metrics::{env_metrics, DriftVerdict, MetricsConfig, MetricsHub, MetricsReport, WindowObs};
-pub use pool::WorkStealingPool;
 pub use profile::{profile_graph, profile_kernel, ProfileConfig};
 pub use selftimed::{
-    execute_selftimed, execute_selftimed_scripted, SelfTimedConfig, SelfTimedReport,
+    env_threads, execute_selftimed, execute_selftimed_scripted, parse_threads, SelfTimedConfig,
+    SelfTimedReport, ThreadsParseError,
 };
 pub use staticsched::{
     execute_staticsched, execute_staticsched_scripted, StaticConfig, StaticReport,
@@ -110,75 +111,34 @@ mod tests {
         let mut net = build_simulation_from_graph(&graph);
         let (_, sim_trace) = net.run_traced(picos(0.25), &SimulationConfig::default());
 
-        for threads in [1, 2, 4] {
-            let report = execute(
-                &graph,
-                &KernelLibrary::new(),
-                picos(0.25),
-                &RtConfig {
-                    threads,
-                    ..RtConfig::default()
-                },
-            );
-            assert_eq!(report.threads, threads);
-            assert_eq!(
-                report.trace.first_divergence(&sim_trace),
-                None,
-                "threads={threads}"
-            );
-            assert!(report.meets_real_time_constraints(), "{:?}", report.trace);
-            // Real sample values reached the sink.
-            let values = report.sink_values("y").expect("sink stream");
-            assert!(!values.is_empty());
-            assert!(values.iter().any(|v| *v != 0.0));
-        }
-    }
-
-    #[test]
-    fn value_streams_are_identical_across_thread_counts() {
-        let compiled = compile(PIPELINE, &registry(), &CompilerOptions::default()).unwrap();
-        let graph = rtgraph::lower(&compiled);
-        let config = RtConfig::default();
-        let base = execute(
+        let report = execute(
             &graph,
             &KernelLibrary::new(),
-            picos(0.1),
-            &RtConfig {
-                threads: 1,
-                ..config
-            },
+            picos(0.25),
+            &RtConfig::default(),
         );
-        for threads in [2, 3, 8] {
-            let other = execute(
-                &graph,
-                &KernelLibrary::new(),
-                picos(0.1),
-                &RtConfig { threads, ..config },
-            );
-            assert_eq!(
-                base.sinks, other.sinks,
-                "sink sample streams must not depend on the pool size"
-            );
-            assert_eq!(base.trace, other.trace);
-        }
+        assert_eq!(report.trace.first_divergence(&sim_trace), None);
+        assert!(report.meets_real_time_constraints(), "{:?}", report.trace);
+        // Real sample values reached the sink.
+        let values = report.sink_values("y").expect("sink stream");
+        assert!(!values.is_empty());
+        assert!(values.iter().any(|v| *v != 0.0));
     }
 
     #[test]
     fn env_threads_parses() {
         // Only checks the parser, not the environment (tests run in
         // parallel; mutating the process environment would race).
-        assert_eq!(parse_threads("3"), 3);
-        assert_eq!(parse_threads(" 0 "), 0);
-        // A malformed override is a loud error, never a silent default.
-        assert!(std::panic::catch_unwind(|| parse_threads("three")).is_err());
-        assert!(std::panic::catch_unwind(|| parse_threads("")).is_err());
+        assert_eq!(parse_threads("3"), Ok(3));
+        assert_eq!(parse_threads(" 0 "), Ok(0));
+        // A malformed override is an error, never a silent default.
+        assert!(parse_threads("three").is_err());
+        assert!(parse_threads("").is_err());
     }
 
     #[test]
     fn panicking_kernel_fails_loudly_instead_of_hanging() {
-        // A kernel that unwinds on a worker thread must surface as a
-        // scheduler panic naming the node — never as a silent deadlock on
-        // the firing slot.
+        // A kernel that unwinds must surface as a panic naming the node.
         let compiled = compile(PIPELINE, &registry(), &CompilerOptions::default()).unwrap();
         let graph = rtgraph::lower(&compiled);
         let mut lib = KernelLibrary::new();

@@ -135,6 +135,25 @@ impl ValueTrace {
     }
 }
 
+/// Sample stream collected at one sink (every engine reports these).
+#[derive(Debug, Clone, PartialEq)]
+pub struct SinkStream {
+    /// Sink name.
+    pub name: String,
+    /// Samples consumed.
+    pub consumed: u64,
+    /// Deadline misses (after warm-up).
+    pub misses: u64,
+    /// Worst observed end-to-end latency, in seconds.
+    pub max_latency: f64,
+    /// The consumed sample values, in order (capped at
+    /// [`SINK_STREAM_CAP`]; `consumed` keeps the true count).
+    pub values: Vec<f64>,
+}
+
+/// Upper bound on stored sink samples (counters keep counting beyond it).
+pub const SINK_STREAM_CAP: usize = 1 << 16;
+
 /// Clock-read stride of a [`ThroughputMeter`]: one `Instant::now()` per
 /// this many recorded samples, so metering a multi-MS/s sink does not bake
 /// its own measurement overhead into the measured rate.

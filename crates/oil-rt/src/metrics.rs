@@ -542,7 +542,7 @@ fn verdict_tag(v: &DriftVerdict) -> &'static str {
 /// same `1/0/true/false/on/off` forms — and the same loudness on junk — as
 /// `OIL_RT_TRACE`). Engines never read the environment themselves; callers
 /// thread the resulting config through
-/// [`crate::RtConfig`]/[`crate::SelfTimedConfig`]/[`crate::StaticConfig`].
+/// [`crate::SelfTimedConfig`]/[`crate::StaticConfig`].
 pub fn env_metrics() -> Option<MetricsConfig> {
     match std::env::var("OIL_RT_METRICS") {
         Ok(v) => parse_metrics(&v),

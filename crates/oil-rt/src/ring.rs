@@ -1,9 +1,8 @@
 //! Lock-free bounded single-producer/single-consumer ring buffers.
 //!
-//! The runtime's value streams flow through these rings: one per buffer of
-//! the runtime graph (capacity from CTA buffer sizing), plus one per
-//! time-triggered source (generator thread → scheduler) and one per sink
-//! (scheduler → collector thread). The implementation is the classic
+//! The parallel engines' value streams flow through these rings: one per
+//! buffer of the runtime graph (capacity from CTA buffer sizing). The
+//! implementation is the classic
 //! Lamport ring: a power-free array indexed by two monotonically increasing
 //! counters, where the producer only writes `tail` and the consumer only
 //! writes `head`, so a release store on one side paired with an acquire load

@@ -2,16 +2,16 @@
 //!
 //! The calendar engine ([`crate::exec`]) proves the *semantics* of parallel
 //! execution: it replays virtual time and is held to bit-identical traces
-//! against the simulator. It also serialises every scheduling decision
-//! through one thread — the price of replaying a clock. This engine drops
-//! the clock entirely and keeps only what the paper's restrictions actually
-//! require for correctness:
+//! against the simulator. It runs on a single thread — the price of
+//! replaying a clock. This engine drops the clock entirely and keeps only
+//! what the paper's restrictions actually require for correctness:
 //!
 //! * every task **fires as soon as** its input tokens and output space are
 //!   available — no calendar, no virtual-clock barrier, no response times;
-//! * tokens flow through the same lock-free SPSC rings, with **blocking
-//!   backpressure**: a worker with nothing fireable spins briefly, yields,
-//!   then parks until a peer's firing makes progress possible;
+//! * tokens flow through lock-free SPSC rings ([`crate::ring`]), with
+//!   **blocking backpressure**: a worker with nothing fireable spins
+//!   briefly, yields, then parks until a peer's firing makes progress
+//!   possible;
 //! * nodes fire in **batches** (sizes from the repetition-vector pass,
 //!   [`oil_compiler::rtgraph::plan`]), so a node that is 64× faster than
 //!   the graph iteration pays one wakeup per burst, not per token.
@@ -56,9 +56,11 @@
 //! a peer whose stamp was outdated by a later firing is never counted)
 //! distinguishes completion from deadlock without any timeout.
 
-use crate::exec::{SinkStream, SINK_STREAM_CAP};
 use crate::kernel::{Kernel, KernelLibrary, SourceKernel};
-use crate::measure::{BufferValues, RateConformance, SinkThroughput, ThroughputMeter, ValueTrace};
+use crate::measure::{
+    BufferValues, RateConformance, SinkStream, SinkThroughput, ThroughputMeter, ValueTrace,
+    SINK_STREAM_CAP,
+};
 use crate::metrics::{MetricsConfig, MetricsHub, MetricsReport, SinkMonitor};
 use crate::ring::{self, Consumer, Producer};
 use crate::trace::{EventKind, RingStat, TraceReport, WorkerTracer};
@@ -79,7 +81,9 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SelfTimedConfig {
     /// Worker threads; `0` uses the machine's available parallelism. The
-    /// engine never spawns more workers than scheduling units.
+    /// engine never spawns more workers than scheduling units. The
+    /// `OIL_RT_THREADS` environment variable (see [`env_threads`])
+    /// conventionally overrides this in test harnesses.
     pub threads: usize,
     /// Record per-buffer value streams (the verification oracle); sink
     /// streams and counters are always kept.
@@ -112,6 +116,44 @@ impl Default for SelfTimedConfig {
             metrics: None,
         }
     }
+}
+
+/// A malformed `OIL_RT_THREADS` value (the offending raw text).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ThreadsParseError(pub String);
+
+impl std::fmt::Display for ThreadsParseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "OIL_RT_THREADS must be a thread count (0 = auto), got `{}`",
+            self.0
+        )
+    }
+}
+
+impl std::error::Error for ThreadsParseError {}
+
+/// The `OIL_RT_THREADS` environment override, if set.
+///
+/// A malformed value is an error, not a silent fall-through to the
+/// default: an override that does not apply is worse than no override.
+/// Parsing lives in [`parse_threads`] so the rejection path is testable
+/// without mutating the process environment.
+pub fn env_threads() -> Result<Option<usize>, ThreadsParseError> {
+    std::env::var("OIL_RT_THREADS")
+        .ok()
+        .map(|v| parse_threads(&v))
+        .transpose()
+}
+
+/// Parse an `OIL_RT_THREADS` value: a base-10 thread count (`0` means
+/// "use the machine's available parallelism", as in
+/// [`SelfTimedConfig::threads`]).
+pub fn parse_threads(raw: &str) -> Result<usize, ThreadsParseError> {
+    raw.trim()
+        .parse()
+        .map_err(|_| ThreadsParseError(raw.to_string()))
 }
 
 /// Everything one self-timed execution observed.
@@ -1525,10 +1567,7 @@ mod tests {
             &graph,
             &KernelLibrary::new(),
             picos(0.25),
-            &RtConfig {
-                threads: 1,
-                ..RtConfig::default()
-            },
+            &RtConfig::default(),
         );
         for threads in [1, 2, 4] {
             let report = execute_selftimed(

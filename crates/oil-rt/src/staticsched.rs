@@ -42,9 +42,11 @@
 //! component): the self-timed streams are therefore a bit-exact **prefix**
 //! of this engine's streams, never the reverse.
 
-use crate::exec::{SinkStream, SINK_STREAM_CAP};
 use crate::kernel::{Kernel, KernelLibrary, SourceKernel};
-use crate::measure::{BufferValues, RateConformance, SinkThroughput, ThroughputMeter, ValueTrace};
+use crate::measure::{
+    BufferValues, RateConformance, SinkStream, SinkThroughput, ThroughputMeter, ValueTrace,
+    SINK_STREAM_CAP,
+};
 use crate::metrics::{MetricCell, MetricsConfig, MetricsHub, MetricsReport, SinkMonitor};
 use crate::ring::{self, Consumer, Producer, WaitStats};
 use crate::trace::{EventKind, RingStat, TraceReport, WorkerTracer};

@@ -209,8 +209,6 @@ pub struct TraceCounters {
     pub backpressure_waits: u64,
     /// Total nanoseconds spent blocked on rings.
     pub backpressure_wait_ns: u64,
-    /// Successful steals (calendar engine's work-stealing pool).
-    pub steals: u64,
     /// Mode switches observed.
     pub mode_switches: u64,
     /// Transition seams replayed.
@@ -240,7 +238,7 @@ pub struct RingStat {
 /// `Firing`/`SuperStep` args index into.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceTrack {
-    /// Track name ("worker-0", "scheduler", ...).
+    /// Track name ("worker-0", ...).
     pub name: String,
     /// Recorded events (worker-local order).
     pub events: Vec<TraceEvent>,
@@ -255,7 +253,7 @@ pub struct TraceReport {
     pub engine: &'static str,
     /// Worker count.
     pub workers: usize,
-    /// One track per worker (plus auxiliary tracks like "scheduler").
+    /// One track per worker.
     pub tracks: Vec<TraceTrack>,
     /// Aggregated counters.
     pub counters: TraceCounters,
@@ -459,14 +457,14 @@ impl TraceReport {
     pub fn summary_json(&self, conformance: Option<&RateConformance>) -> String {
         use std::fmt::Write as _;
         let mut out = String::with_capacity(1 << 12);
-        out.push_str("{\n  \"schema_version\": 1,\n");
+        out.push_str("{\n  \"schema_version\": 2,\n");
         let _ = writeln!(out, "  \"engine\": \"{}\",", self.engine);
         let _ = writeln!(out, "  \"workers\": {},", self.workers);
         let c = &self.counters;
         let _ = writeln!(
             out,
             "  \"counters\": {{\"parks\": {}, \"unparks\": {}, \"spin_yields\": {}, \
-             \"backpressure_waits\": {}, \"backpressure_wait_ns\": {}, \"steals\": {}, \
+             \"backpressure_waits\": {}, \"backpressure_wait_ns\": {}, \
              \"mode_switches\": {}, \"seams\": {}, \"seam_latency_ns\": {}, \
              \"seam_latency_max_ns\": {}}},",
             c.parks,
@@ -474,7 +472,6 @@ impl TraceReport {
             c.spin_yields,
             c.backpressure_waits,
             c.backpressure_wait_ns,
-            c.steals,
             c.mode_switches,
             c.seams,
             c.seam_latency_ns,
@@ -636,9 +633,8 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// Parse an `OIL_RT_TRACE` value. Same discipline as `OIL_RT_THREADS`:
-/// junk panics loudly instead of silently disabling the telemetry the
-/// user asked for.
+/// Parse an `OIL_RT_TRACE` value. Junk panics loudly instead of silently
+/// disabling the telemetry the user asked for.
 pub fn parse_trace(raw: &str) -> bool {
     match raw.trim() {
         "1" | "true" | "on" => true,
@@ -649,7 +645,7 @@ pub fn parse_trace(raw: &str) -> bool {
 
 /// Read the `OIL_RT_TRACE` toggle from the environment (unset = off).
 /// Engines never read the environment themselves — callers thread this
-/// into [`crate::RtConfig`]/[`crate::SelfTimedConfig`]/[`crate::StaticConfig`].
+/// into [`crate::SelfTimedConfig`]/[`crate::StaticConfig`].
 pub fn env_trace() -> bool {
     match std::env::var("OIL_RT_TRACE") {
         Ok(v) => parse_trace(&v),
@@ -724,7 +720,7 @@ mod tests {
         });
         report.phases.push(("fusion".into(), 1234));
         let json = report.summary_json(None);
-        assert!(json.contains("\"schema_version\": 1"));
+        assert!(json.contains("\"schema_version\": 2"));
         assert!(json.contains("\"capacity\": 8"));
         assert!(json.contains("\"highwater\": 5"));
         assert!(json.contains("\"fusion\""));

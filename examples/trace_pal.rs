@@ -1,13 +1,11 @@
 //! Traced PAL decoder: one Perfetto-loadable trace per engine.
 //!
 //! Compiles the paper's PAL decoder (Fig. 11), runs it with tracing
-//! enabled on all three engines — the deterministic calendar replay, the
-//! free-running self-timed engine and the compiled static-order engine —
-//! and writes each run's Chrome trace-event JSON next to the workspace
-//! root:
+//! enabled on both parallel engines — the free-running self-timed engine
+//! and the compiled static-order engine — and writes each run's Chrome
+//! trace-event JSON next to the workspace root:
 //!
 //! ```text
-//! pal_calendar.trace.json
 //! pal_selftimed.trace.json
 //! pal_staticsched.trace.json
 //! ```
@@ -17,9 +15,7 @@
 //! park/backpressure/seam events in place. The printed summary shows the
 //! telemetry the CTA lets us check at runtime — ring high-water marks
 //! against proven capacities and measured sink rates against predicted
-//! rates (wall-clock conformance applies to the free-running engines; the
-//! calendar engine replays virtual time, so only its ring telemetry is
-//! shown).
+//! rates.
 //!
 //! Run with `OIL_RT_TRACE=1 cargo run --release --example trace_pal`
 //! (tracing is forced on here regardless, so the variable is optional —
@@ -27,14 +23,14 @@
 
 use oil::compiler::{rtgraph, schedule};
 use oil::rt::{
-    execute, execute_selftimed, execute_staticsched, measure, ConformanceVerdict, KernelLibrary,
-    RateConformance, RtConfig, SelfTimedConfig, StaticConfig, TraceReport,
+    execute_selftimed, execute_staticsched, measure, ConformanceVerdict, KernelLibrary,
+    RateConformance, SelfTimedConfig, StaticConfig, TraceReport,
 };
 use oil::sim::picos;
 
 /// Write the Perfetto trace, print the one-line telemetry summary and the
-/// conformance verdict (when the engine measures wall-clock rates).
-fn report_engine(engine: &str, tr: &TraceReport, conformance: Option<&RateConformance>) {
+/// conformance verdict.
+fn report_engine(engine: &str, tr: &TraceReport, conformance: &RateConformance) {
     let path =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("pal_{engine}.trace.json"));
     match std::fs::write(&path, tr.chrome_trace_json()) {
@@ -50,19 +46,14 @@ fn report_engine(engine: &str, tr: &TraceReport, conformance: Option<&RateConfor
         tr.seam_latency_observed_ns(),
         tr.rings_within_capacity()
     );
-    match conformance {
-        None => println!("  conformance: n/a (virtual-time replay)"),
-        Some(c) => {
-            println!("  conformance: {}", c.verdict());
-            let lines = match c.verdict() {
-                ConformanceVerdict::Pass => Vec::new(),
-                ConformanceVerdict::Fail => c.violations(),
-                ConformanceVerdict::Inconclusive => c.inconclusive_sinks(),
-            };
-            for l in lines {
-                println!("    {l}");
-            }
-        }
+    println!("  conformance: {}", conformance.verdict());
+    let lines = match conformance.verdict() {
+        ConformanceVerdict::Pass => Vec::new(),
+        ConformanceVerdict::Fail => conformance.violations(),
+        ConformanceVerdict::Inconclusive => conformance.inconclusive_sinks(),
+    };
+    for l in lines {
+        println!("    {l}");
     }
 }
 
@@ -81,7 +72,7 @@ fn main() {
         0.02
     };
 
-    println!("PAL decoder, traced on every engine ({threads} workers, 10 ms virtual)");
+    println!("PAL decoder, traced on both parallel engines ({threads} workers, 10 ms virtual)");
     for (channel, rate) in ["screen", "speakers"]
         .iter()
         .filter_map(|c| analysis.channel_rates.get(*c).map(|r| (c, r)))
@@ -91,21 +82,6 @@ fn main() {
             rate.to_f64()
         );
     }
-
-    println!("\ncalendar:");
-    let report = execute(
-        &graph,
-        &KernelLibrary::pal(),
-        duration,
-        &RtConfig {
-            threads,
-            record_values: false,
-            trace: true,
-            ..RtConfig::default()
-        },
-    );
-    let tr = report.trace_report.as_ref().expect("tracing was enabled");
-    report_engine("calendar", tr, None);
 
     println!("\nselftimed:");
     let report = execute_selftimed(
@@ -123,7 +99,7 @@ fn main() {
     );
     let conformance = report.conformance(threshold);
     let tr = report.trace_report.as_ref().expect("tracing was enabled");
-    report_engine("selftimed", tr, Some(&conformance));
+    report_engine("selftimed", tr, &conformance);
 
     println!("\nstaticsched:");
     let synth = schedule::SynthesisConfig::from_env();
@@ -143,7 +119,7 @@ fn main() {
     );
     let conformance = report.conformance(threshold);
     let tr = report.trace_report.as_ref().expect("tracing was enabled");
-    report_engine("staticsched", tr, Some(&conformance));
+    report_engine("staticsched", tr, &conformance);
 
     // The machine-readable summary of the static-order run — the same
     // content as the Perfetto trace, aggregated (firing histograms, ring

@@ -14,11 +14,11 @@
 //! * [`sim`] — a discrete-event multi-core simulator used as the execution
 //!   substrate (processors, ring interconnect, circular buffers, periodic
 //!   sources/sinks).
-//! * [`rt`] — the multi-threaded runtimes executing compiled task graphs on
-//!   real OS threads: the calendar engine (trace-equivalent to the
-//!   simulator, `tests/runtime_differential.rs`) and the self-timed
-//!   free-running engine (value/rate-conformant,
-//!   `tests/selftimed_differential.rs`).
+//! * [`rt`] — the runtimes executing compiled task graphs: the
+//!   single-threaded calendar replay (trace-equivalent to the simulator,
+//!   `tests/runtime_differential.rs`) and, on real OS threads, the
+//!   self-timed free-running engine (value/rate-conformant,
+//!   `tests/selftimed_differential.rs`) and the static-order engine.
 //! * [`dsp`] — the signal-processing kernels coordinated by the example
 //!   programs (filters, mixers, resamplers, signal generators).
 //! * [`pal`] — the PAL video/audio decoder case study from the paper.

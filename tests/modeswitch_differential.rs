@@ -236,23 +236,17 @@ fn collapsed_twin_trace_matches_the_simulator() {
         let collapsed = collapse_modal(&scenario.graph, &info);
         let mut net = build_simulation_from_graph(&collapsed);
         let (_, sim_trace) = net.run_traced(picos(0.05), &SimulationConfig::default());
-        for threads in [1, 2] {
-            let report = execute(
-                &collapsed,
-                &KernelLibrary::new(),
-                picos(0.05),
-                &RtConfig {
-                    threads,
-                    ..RtConfig::default()
-                },
-            );
-            assert_eq!(
-                report.trace.first_divergence(&sim_trace),
-                None,
-                "seed {seed}: collapsed-twin trace diverges from the simulator at \
-                 {threads} thread(s)"
-            );
-        }
+        let report = execute(
+            &collapsed,
+            &KernelLibrary::new(),
+            picos(0.05),
+            &RtConfig::default(),
+        );
+        assert_eq!(
+            report.trace.first_divergence(&sim_trace),
+            None,
+            "seed {seed}: collapsed-twin trace diverges from the simulator"
+        );
     }
 }
 

@@ -1,15 +1,15 @@
-//! Trace-equivalence differential verification of the parallel runtime
-//! against the discrete-event simulator.
+//! Trace-equivalence differential verification of the runtime's reference
+//! replay against the discrete-event simulator.
 //!
 //! The paper's parallelization claim — OIL's restrictions make every
-//! accepted program *safely* parallelizable — is checked here as a
-//! machine-verified property: for hundreds of seeded random programs
+//! accepted program *safely* parallelizable — rests on the runtime's
+//! reference: for hundreds of seeded random programs
 //! (`oil_gen::ProgramScenario`) and for the PAL decoder case study, the
-//! work-stealing multi-threaded runtime (`oil-rt`) must produce
+//! calendar engine (`oil-rt::exec`), executing real kernels, must produce
 //! **bit-identical** per-buffer token traces, deadline-miss counts and
-//! overflow counts as the simulator (`oil-sim`), at thread counts 1, 2 and
-//! N (the machine's parallelism, or `OIL_RT_THREADS` when set). Both
-//! engines execute the *same* `oil_compiler::rtgraph` lowering, so any
+//! overflow counts as the simulator (`oil-sim`). The self-timed engine is
+//! held to its value streams in `selftimed_differential.rs`. Both engines
+//! here execute the *same* `oil_compiler::rtgraph` lowering, so any
 //! divergence is a scheduling-semantics bug, not a graph-construction
 //! artifact.
 //!
@@ -51,17 +51,6 @@ fn duration_s() -> f64 {
 
 fn stress() -> bool {
     std::env::var_os("OIL_RT_STRESS").is_some()
-}
-
-/// The thread counts under test: 1 (serial), 2 (minimal parallelism) and N
-/// (the machine's available parallelism or the `OIL_RT_THREADS` override).
-fn thread_counts() -> Vec<usize> {
-    let n = oil::rt::env_threads()
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()));
-    let mut counts = vec![1, 2, n.max(1)];
-    counts.sort_unstable();
-    counts.dedup();
-    counts
 }
 
 /// Warm-up ticks covering the pipeline fill of a generated scenario (same
@@ -114,7 +103,6 @@ fn simulator_trace(
 
 #[test]
 fn runtime_traces_match_the_simulator_on_generated_programs() {
-    let threads = thread_counts();
     let (mut checked, mut rejected) = (0u32, 0u32);
     for seed in 0..program_seeds() {
         let scenario = ProgramScenario::generate(seed);
@@ -126,42 +114,36 @@ fn runtime_traces_match_the_simulator_on_generated_programs() {
         let warmup = warmup_ticks(&scenario);
         let (sim_trace, graph) = simulator_trace(&compiled, warmup, duration_s());
 
-        for &t in &threads {
-            let report = execute(
-                &graph,
-                &KernelLibrary::new(),
-                picos(duration_s()),
-                &RtConfig {
-                    threads: t,
-                    warmup_ticks: warmup,
-                    record_traces: true,
-                    record_values: true,
-                    trace: oil::rt::env_trace(),
-                    ..RtConfig::default()
-                },
-            );
-            if let Some(divergence) = report.trace.first_divergence(&sim_trace) {
-                panic!(
-                    "seed {seed}: runtime trace at {t} thread(s) diverges from the simulator: \
-                     {divergence}\nreproduce with ProgramScenario::generate({seed})\nsource:\n{}",
-                    scenario.source
-                );
-            }
-            // The paper's guarantee carries over to the parallel execution:
-            // accepted ⇒ no misses, no overflows, at any thread count.
-            assert!(
-                report.meets_real_time_constraints(),
-                "seed {seed}: accepted program missed deadlines or overflowed at {t} thread(s): \
-                 {:?}\nsource:\n{}",
-                report.trace,
+        let report = execute(
+            &graph,
+            &KernelLibrary::new(),
+            picos(duration_s()),
+            &RtConfig {
+                warmup_ticks: warmup,
+                record_traces: true,
+                record_values: true,
+            },
+        );
+        if let Some(divergence) = report.trace.first_divergence(&sim_trace) {
+            panic!(
+                "seed {seed}: runtime trace diverges from the simulator: {divergence}\n\
+                 reproduce with ProgramScenario::generate({seed})\nsource:\n{}",
                 scenario.source
             );
-            for (name, cap, occ) in &report.buffers {
-                assert!(
-                    occ <= cap,
-                    "seed {seed}: buffer {name} exceeded its capacity at {t} thread(s)"
-                );
-            }
+        }
+        // The paper's guarantee carries over to the runtime: accepted ⇒ no
+        // misses, no overflows.
+        assert!(
+            report.meets_real_time_constraints(),
+            "seed {seed}: accepted program missed deadlines or overflowed: {:?}\nsource:\n{}",
+            report.trace,
+            scenario.source
+        );
+        for (name, cap, occ) in &report.buffers {
+            assert!(
+                occ <= cap,
+                "seed {seed}: buffer {name} exceeded its capacity"
+            );
         }
     }
     assert!(
@@ -169,50 +151,6 @@ fn runtime_traces_match_the_simulator_on_generated_programs() {
         "most generated programs must compile and be checked \
          ({checked} checked, {rejected} rejected)"
     );
-}
-
-#[test]
-fn runtime_value_streams_are_thread_count_invariant() {
-    // Beyond token traces: the actual f64 sample streams delivered to the
-    // sinks must be identical at every thread count (kernel state travels
-    // with the node, firings are totally ordered).
-    let threads = thread_counts();
-    for seed in 0..24 {
-        let scenario = ProgramScenario::generate(seed);
-        let Some(compiled) = compile_scenario(&scenario) else {
-            continue;
-        };
-        let graph = rtgraph::lower(&compiled);
-        let warmup = warmup_ticks(&scenario);
-        let mut baseline: Option<oil::rt::RtReport> = None;
-        for &t in &threads {
-            let report = execute(
-                &graph,
-                &KernelLibrary::new(),
-                picos(0.05),
-                &RtConfig {
-                    threads: t,
-                    warmup_ticks: warmup,
-                    record_traces: true,
-                    record_values: true,
-                    trace: oil::rt::env_trace(),
-                    ..RtConfig::default()
-                },
-            );
-            match &baseline {
-                None => baseline = Some(report),
-                Some(base) => {
-                    assert_eq!(
-                        base.sinks, report.sinks,
-                        "seed {seed}: sink sample streams differ between {} and {} threads",
-                        base.threads, report.threads
-                    );
-                    assert_eq!(base.trace, report.trace, "seed {seed}");
-                    assert_eq!(base.node_firings, report.node_firings, "seed {seed}");
-                }
-            }
-        }
-    }
 }
 
 #[test]
@@ -236,31 +174,26 @@ fn pal_decoder_runtime_matches_simulator_with_zero_misses() {
     assert_eq!(sim_trace.total_misses(), 0, "simulator PAL baseline");
     assert_eq!(sim_trace.total_overflows(), 0, "simulator PAL baseline");
 
-    for t in thread_counts() {
-        let report = execute(
-            &graph,
-            &KernelLibrary::pal(),
-            duration,
-            &RtConfig {
-                threads: t,
-                warmup_ticks: config_warmup,
-                record_traces: true,
-                record_values: true,
-                trace: oil::rt::env_trace(),
-                ..RtConfig::default()
-            },
-        );
-        if let Some(divergence) = report.trace.first_divergence(&sim_trace) {
-            panic!("PAL decoder at {t} thread(s) diverges from the simulator: {divergence}");
-        }
-        assert_eq!(report.trace.total_misses(), 0, "threads={t}");
-        assert_eq!(report.trace.total_overflows(), 0, "threads={t}");
-        // The runtime executed real DSP kernels: the speaker stream carries
-        // the recovered audio tone, not zeros.
-        let speakers = report.sink_values("speakers").expect("speaker stream");
-        assert!(speakers.len() > 32, "collected {} samples", speakers.len());
-        assert!(speakers.iter().any(|v| v.abs() > 1e-6));
+    let report = execute(
+        &graph,
+        &KernelLibrary::pal(),
+        duration,
+        &RtConfig {
+            warmup_ticks: config_warmup,
+            record_traces: true,
+            record_values: true,
+        },
+    );
+    if let Some(divergence) = report.trace.first_divergence(&sim_trace) {
+        panic!("PAL decoder diverges from the simulator: {divergence}");
     }
+    assert_eq!(report.trace.total_misses(), 0);
+    assert_eq!(report.trace.total_overflows(), 0);
+    // The runtime executed real DSP kernels: the speaker stream carries the
+    // recovered audio tone, not zeros.
+    let speakers = report.sink_values("speakers").expect("speaker stream");
+    assert!(speakers.len() > 32, "collected {} samples", speakers.len());
+    assert!(speakers.iter().any(|v| v.abs() > 1e-6));
 }
 
 // ---------------------------------------------------------------------------

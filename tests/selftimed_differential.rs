@@ -65,6 +65,7 @@ fn duration_s() -> f64 {
 /// Thread counts under test: 1, 2 and N (`OIL_RT_THREADS` or the machine).
 fn thread_counts() -> Vec<usize> {
     let n = oil::rt::env_threads()
+        .expect("OIL_RT_THREADS")
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()));
     let mut counts = vec![1, 2, n.max(1)];
     counts.sort_unstable();
@@ -197,12 +198,9 @@ fn free_running_streams_match_the_calendar_reference_on_the_corpus() {
             &KernelLibrary::new(),
             picos(duration_s()),
             &RtConfig {
-                threads: 1,
                 warmup_ticks: u64::MAX, // miss accounting is not under test
                 record_traces: true,
                 record_values: true,
-                trace: oil::rt::env_trace(),
-                ..RtConfig::default()
             },
         );
         assert_eq!(
@@ -400,12 +398,9 @@ fn pal_decoder_free_run_conforms_to_the_predicted_rates() {
         &KernelLibrary::pal(),
         duration,
         &RtConfig {
-            threads: 1,
             warmup_ticks: 64,
             record_traces: true,
             record_values: true,
-            trace: oil::rt::env_trace(),
-            ..RtConfig::default()
         },
     );
     assert_eq!(
