@@ -3,12 +3,15 @@
 //! Regenerates the constructions of Section V-B: the single-rate component of
 //! Fig. 7, the multi-rate component of Fig. 8 (printing the (ε, φ, γ) table
 //! of Fig. 8c) and the two-while-loop module of Fig. 9, and measures the cost
-//! of deriving and checking them.
+//! of deriving and checking them. Buffer sizing is also timed on a generated
+//! program of eight parallel chains (over 96 CTA components), where the delay
+//! check it repeats once per enlarged cycle dominates.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use oil_bench::bench_registry;
 use oil_compiler::{compile, derive_cta_model, CompilerOptions};
 use oil_cta::{CtaModel, Rational};
+use oil_gen::ParallelProgram;
 
 /// Fig. 8: an actor consuming 4 tokens and producing 2 per firing.
 fn fig8_component() -> CtaModel {
@@ -105,6 +108,15 @@ fn bench_cta_construction(c: &mut Criterion) {
             let derived = derive_cta_model(&analyzed, &registry);
             oil_cta::size_buffers(&derived.cta).unwrap()
         })
+    });
+
+    group.bench_function("parallel_program_size_buffers", |b| {
+        let program = ParallelProgram::generate(1, 8);
+        let analyzed = oil_lang::frontend(&program.source, &program.registry).unwrap();
+        let derived = derive_cta_model(&analyzed, &program.registry);
+        let components = derived.cta.component_count();
+        assert!(components >= 96, "only {components} CTA components");
+        b.iter(|| oil_cta::size_buffers(&derived.cta).unwrap())
     });
     group.finish();
 }

@@ -25,7 +25,7 @@
 //! the exact minimum found by state-space search on the dataflow model.
 
 use crate::component::{ConnectionId, CtaModel};
-use crate::consistency::{check_delays_at_rates, ConsistencyError};
+use crate::consistency::{check_delays, ConsistencyError, Kernel};
 use oil_dataflow::index::{IndexVec, PortId};
 use oil_dataflow::Rational;
 use serde::{Deserialize, Serialize};
@@ -85,6 +85,14 @@ impl std::error::Error for BufferSizingError {}
 /// maximal) rates. Capacities already present on buffer connections are
 /// treated as lower bounds and only ever enlarged.
 pub fn size_buffers(model: &CtaModel) -> Result<BufferSizingResult, BufferSizingError> {
+    size_buffers_with(model, Kernel::Integer)
+}
+
+/// [`size_buffers`] with every delay check run on `kernel`.
+pub(crate) fn size_buffers_with(
+    model: &CtaModel,
+    kernel: Kernel,
+) -> Result<BufferSizingResult, BufferSizingError> {
     let mut working = model.clone();
 
     // Determine the target rates once. Buffers must not be the reason to run
@@ -93,14 +101,14 @@ pub fn size_buffers(model: &CtaModel) -> Result<BufferSizingResult, BufferSizing
     // sources or sinks keep their required rates; this fails exactly when the
     // constraints are unattainable regardless of buffering).
     let base = working
-        .maximal_rates_unbounded_buffers()
+        .maximal_rates_impl(true, kernel)
         .map_err(BufferSizingError::Unfixable)?;
 
     let max_iterations =
         (working.connections.len().max(1)) * (working.buffer_connections().len() + 2) * 8;
     let mut iterations = 0;
     loop {
-        match check_delays_at_rates(&working, &base) {
+        match check_delays(&working, &base, false, kernel) {
             Ok(_) => break,
             Err(ConsistencyError::PositiveCycle {
                 excess,

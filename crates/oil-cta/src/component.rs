@@ -84,14 +84,24 @@ impl Connection {
     /// # Panics
     /// Panics if `phi` is non-zero and `rate` is not positive.
     pub fn delay_at_rate(&self, rate: Rational) -> Rational {
+        self.checked_delay_at_rate(rate)
+            .expect("connection delay overflowed i128")
+    }
+
+    /// As [`Self::delay_at_rate`], but `None` when `ε + φ / r(p)` overflows
+    /// `i128`.
+    ///
+    /// # Panics
+    /// Panics if `phi` is non-zero and `rate` is not positive.
+    pub(crate) fn checked_delay_at_rate(&self, rate: Rational) -> Option<Rational> {
         if self.phi.is_zero() {
-            self.epsilon
+            Some(self.epsilon)
         } else {
             assert!(
                 rate.is_positive(),
                 "rate-dependent delay needs a positive rate"
             );
-            self.epsilon + self.phi / rate
+            self.epsilon.checked_add(self.phi.checked_div(rate)?)
         }
     }
 

@@ -23,9 +23,28 @@
 //! `E + P/f` (constant part `E`, rate-dependent part `P/f` in the scale
 //! factor `f`) is solved for the factor that makes it exactly zero, instead
 //! of binary-searching to a tolerance.
+//!
+//! The delay check's Bellman-Ford loop is the hot path of buffer sizing,
+//! which repeats it once per enlarged cycle. It runs as an **exact integer
+//! kernel**: every connection's delay `ε + φ/r` is computed once per check
+//! and scaled, as an `i128`, to the common denominator `L` of the delays in
+//! its constraint component (the ports joined by any connection). A
+//! connection's endpoints share a component, so every sum and comparison in
+//! the loop is between values scaled by the same positive `L`, and scaling
+//! preserves it. The integer loop therefore makes the rational loop's
+//! relaxation decisions in the same connection order and pass count: the
+//! same predecessor graph and witness cycle, and offsets, slacks and excess
+//! that are exactly `L` times the rational ones, which `Rational::new(x, L)`
+//! turns back. One `L` per component rather than one for the whole model
+//! keeps independent subsystems with unrelated rates from overflowing each
+//! other's denominators. When an `L`, a scaled delay or the bound
+//! `max|W| · (P + 1)` exceeds `i128`, or a sum overflows inside the loop,
+//! the same generic loop runs on [`Rational`] weights instead, and an
+//! overflow there is reported as [`ConsistencyError::DelayOverflow`].
 
 use crate::component::{ConnectionId, CtaModel};
 use oil_dataflow::index::{GroupId, Idx, IndexVec, PortId};
+use oil_dataflow::rational::gcd;
 use oil_dataflow::Rational;
 use serde::{Deserialize, Serialize};
 
@@ -106,6 +125,13 @@ pub enum ConsistencyError {
         /// Connections on the cycle.
         connections: Vec<ConnectionId>,
     },
+    /// The exact delay check left the `i128` range: a connection's delay, or
+    /// a sum of delays along connections, has a numerator or denominator too
+    /// large to represent.
+    DelayOverflow {
+        /// The connection whose delay or relaxation overflowed.
+        connection: ConnectionId,
+    },
 }
 
 impl std::fmt::Display for ConsistencyError {
@@ -135,6 +161,10 @@ impl std::fmt::Display for ConsistencyError {
                 f,
                 "a cycle through {} ports has positive delay {excess} s: data arrives too late",
                 ports.len()
+            ),
+            ConsistencyError::DelayOverflow { connection } => write!(
+                f,
+                "the delay check overflowed i128 at connection {connection}"
             ),
         }
     }
@@ -279,11 +309,27 @@ pub type DelayCheck = (IndexVec<PortId, Rational>, IndexVec<ConnectionId, Ration
 /// may have positive total delay. Returns feasible offsets on success or a
 /// witness cycle on failure. Longest-path Bellman-Ford, `O(P · C)`, with
 /// exact comparisons throughout.
+///
+/// The loop runs on `i128` delays scaled per constraint component (see the
+/// module docs for why the result is exactly the rational one), and on
+/// [`Rational`] delays when scaling overflows. An overflow of the rational
+/// loop fails with [`ConsistencyError::DelayOverflow`].
 pub fn check_delays_at_rates(
     model: &CtaModel,
     rates: &IndexVec<PortId, Rational>,
 ) -> Result<DelayCheck, ConsistencyError> {
-    check_delays(model, rates, false)
+    check_delays(model, rates, false, Kernel::Integer)
+}
+
+/// The arithmetic of the delay check's relaxation loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kernel {
+    /// Delays scaled to `i128` per constraint component, falling back to
+    /// [`Kernel::Rational`] on overflow. What every analysis uses.
+    Integer,
+    /// [`Rational`] delays throughout: the reference the integer kernel is
+    /// held to (see [`crate::reference`]).
+    Rational,
 }
 
 /// As [`check_delays_at_rates`], optionally treating buffer connections as
@@ -294,29 +340,126 @@ pub(crate) fn check_delays(
     model: &CtaModel,
     rates: &IndexVec<PortId, Rational>,
     ignore_buffers: bool,
+    kernel: Kernel,
 ) -> Result<DelayCheck, ConsistencyError> {
+    let weights: IndexVec<ConnectionId, Rational> = model
+        .connections
+        .iter_enumerated()
+        .map(|(cid, c)| {
+            c.checked_delay_at_rate(rates[c.from])
+                .ok_or(ConsistencyError::DelayOverflow { connection: cid })
+        })
+        .collect::<Result<_, _>>()?;
+    let relaxed: Vec<(ConnectionId, PortId, PortId)> = model
+        .connections
+        .iter_enumerated()
+        .filter(|(_, c)| !(ignore_buffers && c.buffer.is_some()))
+        .map(|(cid, c)| (cid, c.from, c.to))
+        .collect();
+    if kernel == Kernel::Integer {
+        let comp = model.port_constraint_components();
+        if let Some((scaled, denom)) = scale_per_component(model, &comp, &weights) {
+            let to_rational = |x, p: PortId| Rational::new(x, denom[comp[p.index()]]);
+            match bellman_ford(model, &relaxed, &scaled, to_rational) {
+                Err(ConsistencyError::DelayOverflow { .. }) => {}
+                outcome => return outcome,
+            }
+        }
+    }
+    bellman_ford(model, &relaxed, &weights, |x, _| x)
+}
+
+/// The arithmetic the relaxation loop is generic over: `i128` for scaled
+/// delays, [`Rational`] otherwise. Every operation is checked.
+trait DelayArith: Copy + Ord {
+    const ZERO: Self;
+    fn checked_add(self, rhs: Self) -> Option<Self>;
+    fn checked_sub(self, rhs: Self) -> Option<Self>;
+}
+
+impl DelayArith for i128 {
+    const ZERO: Self = 0;
+    fn checked_add(self, rhs: Self) -> Option<Self> {
+        i128::checked_add(self, rhs)
+    }
+    fn checked_sub(self, rhs: Self) -> Option<Self> {
+        i128::checked_sub(self, rhs)
+    }
+}
+
+impl DelayArith for Rational {
+    const ZERO: Self = Rational::ZERO;
+    fn checked_add(self, rhs: Self) -> Option<Self> {
+        Rational::checked_add(self, rhs)
+    }
+    fn checked_sub(self, rhs: Self) -> Option<Self> {
+        Rational::checked_sub(self, rhs)
+    }
+}
+
+/// Every delay as an integer multiple of `1 / L`, with `L` the lcm of the
+/// delay denominators in its connection's constraint component (`comp`, per
+/// port), and the `L` of every component. A connection's endpoints share a
+/// component, so each sum and comparison of the loop involves values of one
+/// component only, all scaled by the same `L`.
+///
+/// `None` when an `L`, a scaled delay or `max|W| · (P + 1)` does not fit
+/// `i128`. The last bound covers the offsets, slacks and cycle sums of a
+/// check without a positive cycle; offsets that grow around a positive
+/// cycle are caught by the loop's checked additions.
+fn scale_per_component(
+    model: &CtaModel,
+    comp: &[usize],
+    weights: &IndexVec<ConnectionId, Rational>,
+) -> Option<(IndexVec<ConnectionId, i128>, Vec<i128>)> {
+    let mut denom: Vec<i128> = vec![1; comp.iter().map(|&k| k + 1).max().unwrap_or(0)];
+    for (c, w) in model.connections.iter().zip(weights) {
+        let l = &mut denom[comp[c.from.index()]];
+        *l = (*l / gcd(*l as u128, w.denom() as u128) as i128).checked_mul(w.denom())?;
+    }
+    let bound = model.ports.len() as i128 + 1;
+    let scaled = model
+        .connections
+        .iter()
+        .zip(weights)
+        .map(|(c, w)| {
+            let scaled = w
+                .numer()
+                .checked_mul(denom[comp[c.from.index()]] / w.denom())?;
+            scaled.checked_abs()?.checked_mul(bound)?;
+            Some(scaled)
+        })
+        .collect::<Option<_>>()?;
+    Some((scaled, denom))
+}
+
+/// The longest-path Bellman-Ford loop of the delay check, over the
+/// `relaxed` connections `(id, from, to)` in order, with connection weights
+/// `weights` in arithmetic `W`. `to_rational(x, p)` maps a `W` in the
+/// constraint component of port `p` back to seconds. An overflowing sum
+/// fails with [`ConsistencyError::DelayOverflow`].
+fn bellman_ford<W: DelayArith>(
+    model: &CtaModel,
+    relaxed: &[(ConnectionId, PortId, PortId)],
+    weights: &IndexVec<ConnectionId, W>,
+    to_rational: impl Fn(W, PortId) -> Rational,
+) -> Result<DelayCheck, ConsistencyError> {
+    let overflow = |connection| ConsistencyError::DelayOverflow { connection };
     let n = model.ports.len();
-    let mut offsets: IndexVec<PortId, Rational> = IndexVec::from_elem(Rational::ZERO, n);
+    let mut offsets: IndexVec<PortId, W> = IndexVec::from_elem(W::ZERO, n);
     let mut pred: IndexVec<PortId, Option<(PortId, ConnectionId)>> = IndexVec::from_elem(None, n);
-    let weight = |cid: ConnectionId| -> Rational {
-        let c = &model.connections[cid];
-        c.delay_at_rate(rates[c.from])
-    };
-    let skipped =
-        |cid: ConnectionId| -> bool { ignore_buffers && model.connections[cid].buffer.is_some() };
 
     let mut updated: Option<PortId> = None;
     for _ in 0..n.max(1) {
         updated = None;
-        for (cid, c) in model.connections.iter_enumerated() {
-            if skipped(cid) {
-                continue;
-            }
-            let w = weight(cid);
-            if offsets[c.from] + w > offsets[c.to] {
-                offsets[c.to] = offsets[c.from] + w;
-                pred[c.to] = Some((c.from, cid));
-                updated = Some(c.to);
+        for &(cid, from, to) in relaxed {
+            let reach = offsets[from]
+                .checked_add(weights[cid])
+                .ok_or_else(|| overflow(cid))?;
+            if reach > offsets[to] {
+                offsets[to] = reach;
+                pred[to] = Some((from, cid));
+                updated = Some(to);
             }
         }
         if updated.is_none() {
@@ -332,12 +475,14 @@ pub(crate) fn check_delays(
         }
         let mut ports = vec![v];
         let mut connections = Vec::new();
-        let mut excess = Rational::ZERO;
+        let mut excess = W::ZERO;
         let mut cur = v;
         loop {
             let (p, cid) = pred[cur].expect("cycle nodes have predecessors");
             connections.push(cid);
-            excess += weight(cid);
+            excess = excess
+                .checked_add(weights[cid])
+                .ok_or_else(|| overflow(cid))?;
             cur = p;
             if cur == v {
                 break;
@@ -348,7 +493,7 @@ pub(crate) fn check_delays(
         connections.reverse();
         return Err(ConsistencyError::PositiveCycle {
             ports,
-            excess,
+            excess: to_rational(excess, v),
             connections,
         });
     }
@@ -356,7 +501,18 @@ pub(crate) fn check_delays(
     let slacks = model
         .connections
         .iter_enumerated()
-        .map(|(cid, c)| offsets[c.to] - offsets[c.from] - weight(cid))
+        .map(|(cid, c)| {
+            offsets[c.to]
+                .checked_sub(offsets[c.from])
+                .and_then(|d| d.checked_sub(weights[cid]))
+                .map(|slack| to_rational(slack, c.from))
+                .ok_or_else(|| overflow(cid))
+        })
+        .collect::<Result<_, _>>()?;
+    let offsets = offsets
+        .into_iter()
+        .enumerate()
+        .map(|(p, o)| to_rational(o, PortId::new(p)))
         .collect();
     Ok((offsets, slacks))
 }
@@ -391,7 +547,7 @@ impl CtaModel {
     /// Returns the per-port rates, or the error that makes even arbitrarily
     /// low rates infeasible.
     pub fn maximal_rates(&self) -> Result<IndexVec<PortId, Rational>, ConsistencyError> {
-        self.maximal_rates_impl(false)
+        self.maximal_rates_impl(false, Kernel::Integer)
     }
 
     /// As [`Self::maximal_rates`], but with buffer-capacity connections
@@ -401,12 +557,13 @@ impl CtaModel {
     pub fn maximal_rates_unbounded_buffers(
         &self,
     ) -> Result<IndexVec<PortId, Rational>, ConsistencyError> {
-        self.maximal_rates_impl(true)
+        self.maximal_rates_impl(true, Kernel::Integer)
     }
 
-    fn maximal_rates_impl(
+    pub(crate) fn maximal_rates_impl(
         &self,
         ignore_buffers: bool,
+        kernel: Kernel,
     ) -> Result<IndexVec<PortId, Rational>, ConsistencyError> {
         let rs = propagate_rate_structure(self)?;
         let (_scales, base) = resolve_rates(self, &rs)?;
@@ -446,7 +603,7 @@ impl CtaModel {
         let mut last_error = None;
         for _ in 0..=max_rounds {
             let rates = rates_at(&factor);
-            match check_delays(self, &rates, ignore_buffers) {
+            match check_delays(self, &rates, ignore_buffers, kernel) {
                 Ok(_) => return Ok(rates),
                 Err(ConsistencyError::PositiveCycle {
                     ports,
@@ -851,5 +1008,198 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(m.check_consistency().unwrap(), first);
         }
+    }
+
+    /// `10^18 + k`: primes for k = 3, 9 and 31.
+    fn near_1e18(k: i128) -> i128 {
+        1_000_000_000_000_000_000 + k
+    }
+
+    /// A cycle through fresh rate-free ports with the given constant delays;
+    /// returns its ports.
+    fn add_cycle(m: &mut CtaModel, delays: &[Rational]) -> Vec<PortId> {
+        let c = m.add_component("cycle", None);
+        let ports: Vec<PortId> = (0..delays.len())
+            .map(|i| m.add_port(c, format!("p{i}"), None))
+            .collect();
+        for (i, &d) in delays.iter().enumerate() {
+            let next = ports[(i + 1) % ports.len()];
+            m.connect(ports[i], next, d, Rational::ZERO, Rational::ONE);
+        }
+        ports
+    }
+
+    /// Run the delay check of `m` at its resolved rates on `kernel`.
+    fn delay_check_on(m: &CtaModel, kernel: Kernel) -> Result<DelayCheck, ConsistencyError> {
+        let rs = propagate_rate_structure(m).unwrap();
+        let (_, rates) = resolve_rates(m, &rs).unwrap();
+        check_delays(m, &rates, false, kernel)
+    }
+
+    #[test]
+    fn overflowing_delay_sums_are_a_typed_error_not_a_panic() {
+        // 1/(1e18+3) + 1/(1e18+9) fits i128, but adding -3/(1e18+21) needs
+        // a denominator of ~1e54.
+        let mut m = CtaModel::new();
+        add_cycle(
+            &mut m,
+            &[
+                Rational::new(1, near_1e18(3)),
+                Rational::new(1, near_1e18(9)),
+                Rational::new(-3, near_1e18(21)),
+            ],
+        );
+        assert!(matches!(
+            m.check_consistency(),
+            Err(ConsistencyError::DelayOverflow { .. })
+        ));
+        assert!(matches!(
+            crate::size_buffers(&m),
+            Err(crate::BufferSizingError::Unfixable(
+                ConsistencyError::DelayOverflow { .. }
+            ))
+        ));
+    }
+
+    #[test]
+    fn disjoint_components_are_scaled_separately() {
+        // Three 2-port zero-weight cycles, each over its own ~1e18 prime: one
+        // common denominator would need ~1e54, one per component fits.
+        let mut m = CtaModel::new();
+        for k in [3, 9, 31] {
+            let d = Rational::new(1, near_1e18(k));
+            add_cycle(&mut m, &[d, -d]);
+        }
+        let weights = m.connections.iter().map(|c| c.epsilon).collect();
+        let comp = m.port_constraint_components();
+        assert!(scale_per_component(&m, &comp, &weights).is_some());
+        let r = m.check_consistency().unwrap();
+        assert_eq!(r.offsets[PortId::new(1)], Rational::new(1, near_1e18(3)));
+        assert_eq!(r.min_slack(), Some(Rational::ZERO));
+        assert_eq!(
+            delay_check_on(&m, Kernel::Integer),
+            delay_check_on(&m, Kernel::Rational)
+        );
+    }
+
+    #[test]
+    fn an_overflowing_common_denominator_falls_back_to_rationals() {
+        // The same three cycles joined into one constraint component by
+        // links of -1 s that never relax: that component's denominator
+        // overflows i128, while every rational sum stays within ~1e36.
+        let mut m = CtaModel::new();
+        let cycles: Vec<Vec<PortId>> = [3, 9, 31]
+            .iter()
+            .map(|&k| {
+                let d = Rational::new(1, near_1e18(k));
+                add_cycle(&mut m, &[d, -d])
+            })
+            .collect();
+        for pair in cycles.windows(2) {
+            m.connect(
+                pair[0][1],
+                pair[1][1],
+                int(-1),
+                Rational::ZERO,
+                Rational::ONE,
+            );
+        }
+        let weights = m.connections.iter().map(|c| c.epsilon).collect();
+        let comp = m.port_constraint_components();
+        assert!(scale_per_component(&m, &comp, &weights).is_none());
+        let r = m.check_consistency().unwrap();
+        assert_eq!(r.offsets[PortId::new(3)], Rational::new(1, near_1e18(9)));
+        // The first link's slack mixes two of the ~1e18 denominators.
+        assert_eq!(
+            r.slacks[ConnectionId::new(6)],
+            Rational::new(1, near_1e18(9)) - Rational::new(1, near_1e18(3)) + int(1)
+        );
+        assert_eq!(
+            delay_check_on(&m, Kernel::Integer),
+            delay_check_on(&m, Kernel::Rational)
+        );
+    }
+
+    #[test]
+    fn offsets_overflowing_around_a_positive_cycle_fall_back_to_rationals() {
+        // A 2-port cycle of 2^100 s per hop, plus a 1/30000001 s hop into
+        // it: scaled hops W of about 1.8 * 2^124 pass the up-front bound
+        // (4W < 2^127), but the offsets growing around the cycle overflow i128
+        // in the third pass. The rational loop's offsets stay below 2^103.
+        let mut m = CtaModel::new();
+        let hop = int(1 << 100);
+        let cycle = add_cycle(&mut m, &[hop, hop]);
+        let c = m.add_component("feed", None);
+        let feed = m.add_port(c, "out", None);
+        m.connect(
+            feed,
+            cycle[0],
+            Rational::new(1, 30_000_001),
+            Rational::ZERO,
+            Rational::ONE,
+        );
+
+        let weights = m.connections.iter().map(|c| c.epsilon).collect();
+        let comp = m.port_constraint_components();
+        let (scaled, _) = scale_per_component(&m, &comp, &weights).unwrap();
+        let relaxed: Vec<_> = m
+            .connections
+            .iter_enumerated()
+            .map(|(cid, c)| (cid, c.from, c.to))
+            .collect();
+        assert!(matches!(
+            bellman_ford(&m, &relaxed, &scaled, |x, _| Rational::from_int(x)),
+            Err(ConsistencyError::DelayOverflow { .. })
+        ));
+        let integer = delay_check_on(&m, Kernel::Integer);
+        assert_eq!(integer, delay_check_on(&m, Kernel::Rational));
+        match integer {
+            Err(ConsistencyError::PositiveCycle { excess, .. }) => assert_eq!(excess, hop + hop),
+            other => panic!("expected the cycle, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn integer_and_rational_kernels_agree_on_random_models() {
+        // Random graphs over mixed denominators and rate-dependent delays:
+        // both kernels give the same offsets and slacks, or the same witness
+        // cycle with the same excess.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let (mut feasible, mut cyclic) = (0, 0);
+        for _ in 0..200 {
+            let mut m = CtaModel::new();
+            let c = m.add_component("c", None);
+            let n = 2 + next(6) as usize;
+            let ports: Vec<PortId> = (0..n)
+                .map(|i| m.add_port(c, format!("p{i}"), Some(int(1 + next(50) as i128))))
+                .collect();
+            for _ in 0..n + next(2 * n as u64) as usize {
+                let (a, b) = (
+                    ports[next(n as u64) as usize],
+                    ports[next(n as u64) as usize],
+                );
+                let eps = Rational::new(next(40) as i128 - 25, 1 + next(12) as i128);
+                let phi = int(next(5) as i128 - 2);
+                let cid = m.connect(a, b, eps, phi, Rational::ONE);
+                m.connections[cid].couples_rates = false;
+            }
+            let integer = delay_check_on(&m, Kernel::Integer);
+            assert_eq!(integer, delay_check_on(&m, Kernel::Rational));
+            match integer {
+                Ok(_) => feasible += 1,
+                Err(ConsistencyError::PositiveCycle { .. }) => cyclic += 1,
+                Err(e) => panic!("unexpected {e:?}"),
+            }
+        }
+        assert!(
+            feasible >= 20 && cyclic >= 20,
+            "{feasible} feasible, {cyclic} cyclic"
+        );
     }
 }

@@ -61,3 +61,32 @@ pub use latency::{check_latency_path, LatencyReport};
 pub use oil_dataflow::index::{GroupId, PortId};
 pub use oil_dataflow::Rational;
 pub use periodic::PeriodicSequence;
+
+/// The delay check and buffer sizing with every relaxation loop on
+/// [`Rational`] weights, bypassing the integer kernel of
+/// [`check_delays_at_rates`]. Programs have no reason to call these: they
+/// are the reference the differential tests hold the public analyses to,
+/// result for result.
+#[doc(hidden)]
+pub mod reference {
+    use crate::buffersizing::{size_buffers_with, BufferSizingError, BufferSizingResult};
+    use crate::consistency::{check_delays, ConsistencyError, DelayCheck, Kernel};
+    use crate::CtaModel;
+    use oil_dataflow::index::{IndexVec, PortId};
+    use oil_dataflow::Rational;
+
+    /// [`crate::check_delays_at_rates`] on `Rational` weights.
+    pub fn rational_delay_check(
+        model: &CtaModel,
+        rates: &IndexVec<PortId, Rational>,
+    ) -> Result<DelayCheck, ConsistencyError> {
+        check_delays(model, rates, false, Kernel::Rational)
+    }
+
+    /// [`crate::size_buffers`] with every delay check on `Rational` weights.
+    pub fn rational_size_buffers(
+        model: &CtaModel,
+    ) -> Result<BufferSizingResult, BufferSizingError> {
+        size_buffers_with(model, Kernel::Rational)
+    }
+}

@@ -37,6 +37,8 @@ pub mod rng;
 pub mod topology;
 
 pub use modal::{ModalScenario, ModeDependentScenario};
-pub use program::{gen_ast, Defect, IllFormedProgram, ProgramScenario, Stage, StageShape};
+pub use program::{
+    gen_ast, Defect, IllFormedProgram, ParallelProgram, ProgramScenario, Stage, StageShape,
+};
 pub use rng::GenRng;
 pub use topology::{MultiRateScenario, PairScenario, RingScenario};

@@ -10,6 +10,8 @@
 //!   `oil-lang → oil-compiler → oil-cta` pipeline; the oracle is the paper's
 //!   core guarantee: *accepted ⇒ the simulated execution with CTA-sized
 //!   buffers misses no deadline and overflows no buffer*.
+//!   [`ParallelProgram`] puts several of them side by side in one program,
+//!   for analyses at a size no single chain reaches.
 //! * [`IllFormedProgram`] — *deliberately invalid* programs (module
 //!   recursion, never-written outputs, rate mismatches, literals with no
 //!   exact rational): the oracle is that the front end rejects them with
@@ -127,19 +129,8 @@ impl ProgramScenario {
 
         let nested = n_stages >= 2 && rng.chance(1, 3);
 
-        // Response times: a quarter of each stage's firing period keeps every
-        // instance schedulable on one processor per task.
         let mut registry = FunctionRegistry::new();
-        for (i, s) in stages.iter().enumerate() {
-            let rho = 0.25 / s.firing_hz as f64;
-            for prefix in ["f", "g", "h", "k"] {
-                registry.register(FunctionSignature::pure(format!("{prefix}{i}"), rho));
-            }
-            registry.register(FunctionSignature::pure(format!("init{i}"), 1e-6));
-        }
-        registry.register(FunctionSignature::pure("src", 1e-7));
-        registry.register(FunctionSignature::pure("snk", 1e-7));
-
+        register_chain_functions(&mut registry, "", &stages);
         let source = render_program(&stages, source_hz, sink_hz, latency_ms, nested);
         ProgramScenario {
             seed,
@@ -201,15 +192,7 @@ impl ProgramScenario {
             },
         ];
         let mut registry = FunctionRegistry::new();
-        for (i, s) in stages.iter().enumerate() {
-            let rho = 0.25 / s.firing_hz as f64;
-            for prefix in ["f", "g", "h", "k"] {
-                registry.register(FunctionSignature::pure(format!("{prefix}{i}"), rho));
-            }
-            registry.register(FunctionSignature::pure(format!("init{i}"), 1e-6));
-        }
-        registry.register(FunctionSignature::pure("src", 1e-7));
-        registry.register(FunctionSignature::pure("snk", 1e-7));
+        register_chain_functions(&mut registry, "", &stages);
         let source = render_program(&stages, source_hz, sink_hz, None, false);
         ProgramScenario {
             seed,
@@ -224,28 +207,102 @@ impl ProgramScenario {
     }
 }
 
-fn render_stage_module(i: usize, stage: &Stage) -> String {
+/// Several generated pipelines side by side in one program: each chain is a
+/// [`ProgramScenario`] whose modules, streams and functions carry the prefix
+/// `c<k>_`, with its own source and sink, all instantiated in parallel by one
+/// top-level `mod par`. Chains share no stream, so the CTA model is the
+/// disjoint union of the chains' models; it grows linearly with `chains`
+/// and exercises the polynomial analyses at a size no single chain reaches.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ParallelProgram {
+    /// The generating seed — quoted in every failure message.
+    pub seed: u64,
+    /// OIL source text.
+    pub source: String,
+    /// Registry with the response times of every chain's functions.
+    pub registry: FunctionRegistry,
+    /// The chains, in instantiation order; chain `k`'s names carry the
+    /// prefix `c<k>_` in [`Self::source`] and [`Self::registry`].
+    pub chains: Vec<ProgramScenario>,
+}
+
+impl ParallelProgram {
+    /// Generate `chains` pipelines for `seed`; each chain is a
+    /// [`ProgramScenario`] drawn from a seed derived from `seed`.
+    pub fn generate(seed: u64, chains: usize) -> Self {
+        let mut rng = GenRng::new(seed ^ 0xC4A1_25E7);
+        let chains: Vec<ProgramScenario> = (0..chains)
+            .map(|_| ProgramScenario::generate(rng.next_u64()))
+            .collect();
+        let mut registry = FunctionRegistry::new();
+        let mut source = String::new();
+        let mut decls = String::new();
+        let mut calls = Vec::new();
+        for (k, chain) in chains.iter().enumerate() {
+            let prefix = format!("c{k}_");
+            register_chain_functions(&mut registry, &prefix, &chain.stages);
+            source.push_str(&render_chain_modules(&prefix, &chain.stages, chain.nested));
+            let (chain_decls, chain_calls) = render_chain_top(
+                &prefix,
+                &chain.stages,
+                chain.source_hz,
+                chain.sink_hz,
+                chain.latency_ms,
+                chain.nested,
+            );
+            decls.push_str(&chain_decls);
+            calls.extend(chain_calls);
+        }
+        source.push_str(&render_top(&decls, &calls));
+        ParallelProgram {
+            seed,
+            source,
+            registry,
+            chains,
+        }
+    }
+}
+
+/// Register the functions of one chain under `prefix`. Response times are a
+/// quarter of each stage's firing period, which keeps every instance
+/// schedulable on one processor per task.
+fn register_chain_functions(registry: &mut FunctionRegistry, prefix: &str, stages: &[Stage]) {
+    for (i, s) in stages.iter().enumerate() {
+        let rho = 0.25 / s.firing_hz as f64;
+        for name in ["f", "g", "h", "k"] {
+            registry.register(FunctionSignature::pure(format!("{prefix}{name}{i}"), rho));
+        }
+        registry.register(FunctionSignature::pure(format!("{prefix}init{i}"), 1e-6));
+    }
+    registry.register(FunctionSignature::pure(format!("{prefix}src"), 1e-7));
+    registry.register(FunctionSignature::pure(format!("{prefix}snk"), 1e-7));
+}
+
+fn render_stage_module(prefix: &str, i: usize, stage: &Stage) -> String {
     let mut body = String::new();
     if let Some(tokens) = stage.init_tokens {
-        body.push_str(&format!("    init{i}(out b:{tokens});\n"));
+        body.push_str(&format!("    {prefix}init{i}(out b:{tokens});\n"));
     }
     let (consume, produce) = (stage.consume, stage.produce);
     let call = match stage.shape {
-        StageShape::Plain => format!("f{i}(a:{consume}, out b:{produce});"),
+        StageShape::Plain => format!("{prefix}f{i}(a:{consume}, out b:{produce});"),
         StageShape::Modal => format!(
-            "if(...){{ t = g{i}(a:{consume}); }} else {{ t = h{i}(a:{consume}); }} \
-             k{i}(t, out b:{produce});"
+            "if(...){{ t = {prefix}g{i}(a:{consume}); }} else {{ t = {prefix}h{i}(a:{consume}); }} \
+             {prefix}k{i}(t, out b:{produce});"
         ),
         StageShape::Switch => format!(
-            "switch(...) case 0 {{ t = g{i}(a:{consume}); }} default {{ t = h{i}(a:{consume}); }} \
-             k{i}(t, out b:{produce});"
+            "switch(...) case 0 {{ t = {prefix}g{i}(a:{consume}); }} \
+             default {{ t = {prefix}h{i}(a:{consume}); }} \
+             {prefix}k{i}(t, out b:{produce});"
         ),
     };
     let decl = match stage.shape {
         StageShape::Plain => String::new(),
         _ => "    int t;\n".to_string(),
     };
-    format!("mod seq S{i}(int a, out int b){{\n{decl}{body}    loop{{ {call} }} while(1);\n}}\n")
+    format!(
+        "mod seq {prefix}S{i}(int a, out int b){{\n{decl}{body}    loop{{ {call} }} while(1);\n}}\n"
+    )
 }
 
 fn render_program(
@@ -255,61 +312,84 @@ fn render_program(
     latency_ms: Option<u64>,
     nested: bool,
 ) -> String {
+    let mut out = render_chain_modules("", stages, nested);
+    let (decls, calls) = render_chain_top("", stages, source_hz, sink_hz, latency_ms, nested);
+    out.push_str(&render_top(&decls, &calls));
+    out
+}
+
+/// The stage modules of one chain, plus the nested `mod par` wrapping its
+/// first two stages when `nested`.
+fn render_chain_modules(prefix: &str, stages: &[Stage], nested: bool) -> String {
     let mut out = String::new();
     for (i, s) in stages.iter().enumerate() {
-        out.push_str(&render_stage_module(i, s));
+        out.push_str(&render_stage_module(prefix, i, s));
     }
-    // Optionally wrap the first two stages in a nested par module.
-    let calls_nested = nested && stages.len() >= 2;
-    if calls_nested {
-        out.push_str(
-            "mod par P(int a, out int b){\n    fifo int z;\n    S0(a, out z) || S1(z, out b)\n}\n",
-        );
+    if nested && stages.len() >= 2 {
+        out.push_str(&format!(
+            "mod par {prefix}P(int a, out int b){{\n    fifo int z;\n    \
+             {prefix}S0(a, out z) || {prefix}S1(z, out b)\n}}\n"
+        ));
     }
-    out.push_str("mod par Top(){\n");
-    let chain_len = stages.len();
-    // Intermediate fifos between top-level instantiations.
-    let n_units = if calls_nested {
-        chain_len - 1
-    } else {
-        chain_len
-    };
-    for i in 0..n_units.saturating_sub(1) {
-        out.push_str(&format!("    fifo int m{i};\n"));
-    }
-    out.push_str(&format!("    source int x = src() @ {source_hz} Hz;\n"));
-    out.push_str(&format!("    sink int y = snk() @ {sink_hz} Hz;\n"));
-    if let Some(ms) = latency_ms {
-        out.push_str(&format!("    start x {ms} ms before y;\n"));
-    }
-    // The instantiation chain: nested P replaces S0 and S1.
-    let mut units: Vec<String> = Vec::new();
-    if calls_nested {
-        units.push("P".to_string());
-        for i in 2..chain_len {
-            units.push(format!("S{i}"));
-        }
-    } else {
-        for i in 0..chain_len {
-            units.push(format!("S{i}"));
-        }
-    }
-    let mut calls = Vec::new();
-    for (i, unit) in units.iter().enumerate() {
-        let input = if i == 0 {
-            "x".to_string()
-        } else {
-            format!("m{}", i - 1)
-        };
-        let output = if i == units.len() - 1 {
-            "y".to_string()
-        } else {
-            format!("m{i}")
-        };
-        calls.push(format!("{unit}({input}, out {output})"));
-    }
-    out.push_str(&format!("    {}\n}}\n", calls.join(" || ")));
     out
+}
+
+/// One chain's declarations inside the top-level module (fifos, source,
+/// sink, latency constraint) and its module instantiations, upstream first.
+fn render_chain_top(
+    prefix: &str,
+    stages: &[Stage],
+    source_hz: u64,
+    sink_hz: u64,
+    latency_ms: Option<u64>,
+    nested: bool,
+) -> (String, Vec<String>) {
+    // The nested P replaces S0 and S1 in the instantiation chain.
+    let calls_nested = nested && stages.len() >= 2;
+    let units: Vec<String> = if calls_nested {
+        std::iter::once(format!("{prefix}P"))
+            .chain((2..stages.len()).map(|i| format!("{prefix}S{i}")))
+            .collect()
+    } else {
+        (0..stages.len()).map(|i| format!("{prefix}S{i}")).collect()
+    };
+    let mut decls = String::new();
+    // Intermediate fifos between top-level instantiations.
+    for i in 0..units.len().saturating_sub(1) {
+        decls.push_str(&format!("    fifo int {prefix}m{i};\n"));
+    }
+    decls.push_str(&format!(
+        "    source int {prefix}x = {prefix}src() @ {source_hz} Hz;\n"
+    ));
+    decls.push_str(&format!(
+        "    sink int {prefix}y = {prefix}snk() @ {sink_hz} Hz;\n"
+    ));
+    if let Some(ms) = latency_ms {
+        decls.push_str(&format!("    start {prefix}x {ms} ms before {prefix}y;\n"));
+    }
+    let calls = units
+        .iter()
+        .enumerate()
+        .map(|(i, unit)| {
+            let input = if i == 0 {
+                format!("{prefix}x")
+            } else {
+                format!("{prefix}m{}", i - 1)
+            };
+            let output = if i == units.len() - 1 {
+                format!("{prefix}y")
+            } else {
+                format!("{prefix}m{i}")
+            };
+            format!("{unit}({input}, out {output})")
+        })
+        .collect();
+    (decls, calls)
+}
+
+/// The top-level `mod par Top` with `decls` and all `calls` in parallel.
+fn render_top(decls: &str, calls: &[String]) -> String {
+    format!("mod par Top(){{\n{decls}    {}\n}}\n", calls.join(" || "))
 }
 
 /// The kind of defect an [`IllFormedProgram`] carries.
@@ -658,6 +738,29 @@ mod tests {
                 IllFormedProgram::generate(seed),
                 IllFormedProgram::generate(seed)
             );
+        }
+    }
+
+    #[test]
+    fn parallel_programs_are_disjoint_unions_of_their_chains() {
+        let cta = |source: &str, registry: &FunctionRegistry| {
+            let analyzed = oil_lang::frontend(source, registry)
+                .unwrap_or_else(|d| panic!("front end rejected:\n{source}\n{d:?}"));
+            oil_compiler::derive_cta_model(&analyzed, registry).cta
+        };
+        for seed in 0..4 {
+            let p = ParallelProgram::generate(seed, 3);
+            assert_eq!(p, ParallelProgram::generate(seed, 3));
+            let whole = cta(&p.source, &p.registry);
+            let parts: Vec<_> = p
+                .chains
+                .iter()
+                .map(|c| cta(&c.source, &c.registry))
+                .collect();
+            let components: usize = parts.iter().map(|m| m.component_count()).sum();
+            assert_eq!(whole.component_count(), components, "seed {seed}");
+            let connections: usize = parts.iter().map(|m| m.connection_count()).sum();
+            assert_eq!(whole.connection_count(), connections, "seed {seed}");
         }
     }
 
